@@ -51,6 +51,13 @@ fi
 step "tests (workspace)"
 cargo test -q --offline --workspace
 
+step "benchmark build check (perfbench against the engine API)"
+# perfbench/ is its own cargo package outside the workspace, so the
+# workspace build never compiles it. Checking it here makes an engine API
+# change that breaks the benchmark fail CI instead of the benchmark run.
+# Runs under --quick so the GitHub workflow enforces it on every push.
+CARGO_TARGET_DIR=target/perfbench cargo check --offline --manifest-path perfbench/Cargo.toml
+
 step "backend equivalence gate (sim vs thread transport)"
 # Bit-identical outputs, work, CommStats, and virtual time across the
 # deterministic simulator and the OS-thread backend, for the algorithm

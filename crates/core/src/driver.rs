@@ -1,6 +1,7 @@
 //! Top-level driver: spawn the cluster, run the SPMD closure, aggregate.
 
 use crate::{EngineConfig, RunStats, TimeStats, WorkStats, Worker};
+use std::time::Duration;
 use symple_graph::Graph;
 use symple_net::Cluster;
 
@@ -38,11 +39,15 @@ impl<T> DistResult<T> {
 
 /// Runs `f` SPMD-style on `cfg.machines` simulated machines over `graph`.
 ///
-/// Every machine builds its own [`Worker`] (partition, dependency layout,
-/// local buckets) and runs the same closure — exactly how a Gemini
-/// application binary runs under `mpiexec`. Tracing is controlled by
-/// `cfg.trace_level`; the collected [`symple_net::Trace`] is returned on
-/// `stats.trace`.
+/// Every machine builds its own [`Worker`] and runs the same closure —
+/// exactly how a Gemini application binary runs under `mpiexec`. The
+/// machine-local structures (partition, dependency layout, local buckets)
+/// come from the graph's shared [`crate::Placement`]: the first job on a
+/// graph under a given placement key builds them, each machine its own
+/// buckets, and later jobs on the same `&Graph` reuse them
+/// (`stats.time.placement_wall` says which happened). Tracing is
+/// controlled by `cfg.trace_level`; the collected [`symple_net::Trace`] is
+/// returned on `stats.trace`.
 ///
 /// # Example
 ///
@@ -79,17 +84,20 @@ where
     let res = cluster.run(|ctx| {
         let mut worker = Worker::new(ctx, graph, cfg);
         let out = f(&mut worker);
-        (out, worker.stats())
+        (out, worker.stats(), worker.placement_wall())
     });
     let max_node_wall = res.max_node_wall();
     let mut work = WorkStats::default();
+    let mut placement_wall = Duration::ZERO;
     let mut outputs = Vec::with_capacity(res.outputs.len());
-    for (out, st) in res.outputs {
+    for (out, st, built) in res.outputs {
         work.merge(&st);
+        placement_wall = placement_wall.max(built);
         outputs.push(out);
     }
     let mut time = TimeStats::from_trace(res.virtual_time, res.wall, &res.traces);
     time.max_node_wall = max_node_wall;
+    time.placement_wall = placement_wall;
     DistResult {
         outputs,
         stats: RunStats {

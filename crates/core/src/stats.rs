@@ -191,6 +191,11 @@ pub struct TimeStats {
     /// backend this is the measured counterpart of `virtual_secs`; on the
     /// simulator it only reflects host scheduling.
     pub max_node_wall: Duration,
+    /// Host wall time the job spent building its [`crate::Placement`]:
+    /// the maximum over machines, zero when the placement was reused from
+    /// an earlier job on the same graph. Like `max_node_wall` it is a
+    /// host measurement, never part of a determinism comparison.
+    pub placement_wall: Duration,
     breakdown: [f64; 9],
 }
 
@@ -205,6 +210,7 @@ impl TimeStats {
             virtual_secs,
             wall,
             max_node_wall: Duration::ZERO,
+            placement_wall: Duration::ZERO,
             breakdown,
         }
     }

@@ -28,11 +28,12 @@
 use crate::circulant::{dst_partition, processing_order};
 use crate::par::{self, ParCfg, PassOutput};
 use crate::{
-    ApplyLayout, CacheBlocks, DepLayout, DepState, EarlyExit, EngineConfig, LocalGraph, Partition,
+    ApplyLayout, CacheBlocks, DepState, EarlyExit, EngineConfig, LocalGraph, Partition, Placement,
     Policy, PullProgram, PushProgram, WorkMetric, WorkStats,
 };
 use std::ops::Range;
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 use symple_graph::{Bitmap, Graph, Vid};
 use symple_net::{CodecStats, CommKind, NodeCtx, SpanCategory, Tag, TagKind, Wire, WireFormat};
 
@@ -82,9 +83,12 @@ pub struct Worker<'a> {
     ctx: &'a mut NodeCtx,
     graph: &'a Graph,
     cfg: &'a EngineConfig,
-    part: Partition,
-    layout: DepLayout,
-    local: LocalGraph,
+    /// The graph's shared placement under `cfg`; this machine reads its
+    /// own rank's buckets from it.
+    placement: Arc<Placement>,
+    /// Host wall time this machine spent building placement structures
+    /// (zero when the placement was reused).
+    placement_wall: Duration,
     stats: WorkStats,
     iter_seq: u64,
     /// One scratch encode buffer per peer rank. `send` moves its payload
@@ -105,8 +109,11 @@ fn group_range(g: usize, groups: usize, n: usize) -> Range<usize> {
 }
 
 impl<'a> Worker<'a> {
-    /// Builds the machine-local structures (partition, dependency layout,
-    /// buckets). Deterministic per rank.
+    /// Attaches this machine to the graph's [`Placement`] under `cfg`
+    /// (partition, dependency layout, buckets). The first worker on a
+    /// graph and placement key builds the shared partition and layout,
+    /// each machine builds its own rank's buckets once, and later jobs
+    /// reuse all of it. Deterministic per rank.
     ///
     /// # Panics
     ///
@@ -121,20 +128,13 @@ impl<'a> Worker<'a> {
             ctx.world(),
             "config machine count must match cluster size"
         );
-        let part = Partition::chunked(graph, cfg.machines, cfg.partition_alpha);
-        let layout = if cfg.differentiated() {
-            DepLayout::high_degree(graph, &part, cfg.degree_threshold)
-        } else {
-            DepLayout::full(&part)
-        };
-        let local = LocalGraph::build(graph, &part, &layout, ctx.rank());
+        let (placement, placement_wall) = Placement::for_rank(graph, cfg, ctx.rank());
         Worker {
             ctx,
             graph,
             cfg,
-            part,
-            layout,
-            local,
+            placement,
+            placement_wall,
             stats: WorkStats::default(),
             iter_seq: 0,
             enc_pool: vec![Vec::new(); cfg.machines],
@@ -210,12 +210,28 @@ impl<'a> Worker<'a> {
 
     /// The global partition.
     pub fn partition(&self) -> &Partition {
-        &self.part
+        self.placement.partition()
+    }
+
+    /// The graph's shared placement this machine runs on.
+    pub fn placement(&self) -> &Arc<Placement> {
+        &self.placement
+    }
+
+    /// This machine's buckets.
+    fn local(&self) -> &LocalGraph {
+        self.placement.local(self.graph, self.ctx.rank())
+    }
+
+    /// Host wall time this machine spent building its placement
+    /// structures; zero when they were reused from an earlier job.
+    pub(crate) fn placement_wall(&self) -> Duration {
+        self.placement_wall
     }
 
     /// This machine's master range `[lo, hi)`.
     pub fn my_range(&self) -> (Vid, Vid) {
-        self.part.range(self.ctx.rank())
+        self.partition().range(self.ctx.rank())
     }
 
     /// Iterates this machine's master vertices.
@@ -234,7 +250,7 @@ impl<'a> Worker<'a> {
     /// [`Worker::pull`] (the per-partition maximum plus one scratch slot
     /// used for local-only breaks).
     pub fn dep_slots_needed(&self) -> usize {
-        self.layout.max_slots() + 1
+        self.placement.layout().max_slots() + 1
     }
 
     /// This machine's accumulated counters.
@@ -629,7 +645,7 @@ impl<'a> Worker<'a> {
             "bitmap length mismatch"
         );
         let rank = self.ctx.rank();
-        let (lo, hi) = self.part.range(rank);
+        let (lo, hi) = self.partition().range(rank);
         let payload = if lo == hi {
             Vec::new() // empty partitions may sit at unaligned boundaries
         } else {
@@ -640,7 +656,7 @@ impl<'a> Worker<'a> {
             if m == rank {
                 continue;
             }
-            let (mlo, mhi) = self.part.range(m);
+            let (mlo, mhi) = self.partition().range(m);
             if mlo == mhi {
                 continue;
             }
@@ -663,14 +679,14 @@ impl<'a> Worker<'a> {
             "array length mismatch"
         );
         let rank = self.ctx.rank();
-        let (lo, hi) = self.part.range(rank);
+        let (lo, hi) = self.partition().range(rank);
         let payload = symple_net::encode_slice(&arr[lo.index()..hi.index()]);
         let all = self.ctx.allgather_bytes(payload, CommKind::Sync);
         for (m, bytes) in all.iter().enumerate() {
             if m == rank {
                 continue;
             }
-            let (mlo, mhi) = self.part.range(m);
+            let (mlo, mhi) = self.partition().range(m);
             let vals: Vec<T> = symple_net::decode_vec(bytes);
             arr[mlo.index()..mhi.index()].copy_from_slice(&vals);
         }
@@ -766,13 +782,13 @@ impl<'a> Worker<'a> {
             let j = dst_partition(rank, s, p);
             let first = s == 0;
             let last = s + 1 == p;
-            let n_slots = self.layout.slots(j);
+            let n_slots = self.placement.layout().slots(j);
             let mut step = PassOutput::default();
 
             if !symple {
                 // Gemini/Galois: every destination uses a detached scratch
                 // slot; breaks act locally only.
-                let bucket = self.local.bucket(j);
+                let bucket = self.local().bucket(j);
                 step = par::scratch_pass(prog, &bucket.hi, dep, pc);
                 step.absorb(par::scratch_pass(prog, &bucket.lo, dep, pc));
                 self.ctx.compute_sharded(&step.chunk_costs, pc.threads);
@@ -799,7 +815,7 @@ impl<'a> Worker<'a> {
                         }
                     }
                 }
-                let bucket = self.local.bucket(j);
+                let bucket = self.local().bucket(j);
                 step = par::hi_pass(prog, &bucket.hi, 0..bucket.hi.len(), dep, pc);
                 step.absorb(par::scratch_pass(prog, &bucket.lo, dep, pc));
                 self.ctx.compute_sharded(&step.chunk_costs, pc.threads);
@@ -812,7 +828,7 @@ impl<'a> Worker<'a> {
                 // dependency, so it overlaps the wait), then per-group
                 // receive → process → send.
                 {
-                    let bucket = self.local.bucket(j);
+                    let bucket = self.local().bucket(j);
                     let lo = par::scratch_pass(prog, &bucket.lo, dep, pc);
                     self.ctx.compute_sharded(&lo.chunk_costs, pc.threads);
                     step.absorb(lo);
@@ -841,7 +857,7 @@ impl<'a> Worker<'a> {
                         }
                     }
                     let gp = {
-                        let bucket = self.local.bucket(j);
+                        let bucket = self.local().bucket(j);
                         let e0 = bucket.hi.first_entry_with_slot(slot_range.start);
                         let e1 = bucket.hi.first_entry_with_slot(slot_range.end);
                         par::hi_pass(prog, &bucket.hi, e0..e1, dep, pc)
@@ -1033,7 +1049,7 @@ impl<'a> Worker<'a> {
             "push frontier must be local masters"
         );
         let pc = self.par_cfg();
-        let pass = par::push_pass(prog, self.graph, &self.part, frontier, pc);
+        let pass = par::push_pass(prog, self.graph, self.partition(), frontier, pc);
         self.stats.add(WorkMetric::EdgesTraversed, pass.edges);
         self.stats
             .add(WorkMetric::VerticesExamined, frontier.len() as u64);

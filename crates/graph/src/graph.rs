@@ -1,7 +1,10 @@
 //! The directed graph type used throughout the reproduction.
 
+use crate::memo::Memo;
 use crate::{Csr, Vid};
+use std::any::Any;
 use std::fmt;
+use std::sync::Arc;
 
 /// A directed graph with both forward (out-edge) and reverse (in-edge)
 /// adjacency.
@@ -10,10 +13,16 @@ use std::fmt;
 /// of frontier vertices; pull (dense) mode — where loop-carried dependency
 /// matters — traverses in-edges of candidate vertices. Construct via
 /// [`crate::GraphBuilder`] or a generator.
+///
+/// A graph is immutable once built (no method takes `&mut self`), so
+/// structures derived from it can be computed once and shared: see
+/// [`Graph::memo`].
 #[derive(Clone)]
 pub struct Graph {
     out: Csr,
     incoming: Csr,
+    /// Derived structures; a clone or transpose starts with an empty memo.
+    memo: Memo,
 }
 
 impl Graph {
@@ -30,7 +39,11 @@ impl Graph {
         let out = Csr::from_edges(num_vertices, edges);
         let reversed: Vec<(Vid, Vid)> = edges.iter().map(|&(s, d)| (d, s)).collect();
         let incoming = Csr::from_edges(num_vertices, &reversed);
-        Graph { out, incoming }
+        Graph {
+            out,
+            incoming,
+            memo: Memo::default(),
+        }
     }
 
     /// Number of vertices.
@@ -103,7 +116,41 @@ impl Graph {
         Graph {
             out: self.incoming.clone(),
             incoming: self.out.clone(),
+            memo: Memo::default(),
         }
+    }
+
+    /// The structure memoised on this graph under `key`, built by `build`
+    /// on the first request and shared by every later one.
+    ///
+    /// `build` must derive its result from this graph and `key` alone:
+    /// keys are matched by exact `K: Eq` equality (together with the value
+    /// type `T`), and the graph never changes, so a memoised value can
+    /// never go stale. The memo holds at most four entries and evicts the
+    /// oldest first; an evicted value lives on while any caller still
+    /// holds its `Arc`. [`Clone`] and [`Graph::transpose`] start with an
+    /// empty memo. Concurrent first requests for one key may each run
+    /// `build`; all of them receive the value inserted first.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use symple_graph::path;
+    ///
+    /// let g = path(10);
+    /// let degrees = || -> Vec<usize> { g.vertices().map(|v| g.in_degree(v)).collect() };
+    /// let a = g.memo("in-degrees", degrees);
+    /// let b = g.memo("in-degrees", || -> Vec<usize> { unreachable!("memoised") });
+    /// assert!(Arc::ptr_eq(&a, &b));
+    /// assert_eq!(a.len(), 10);
+    /// ```
+    pub fn memo<K, T>(&self, key: K, build: impl FnOnce() -> T) -> Arc<T>
+    where
+        K: Any + Eq + Send + Sync,
+        T: Any + Send + Sync,
+    {
+        self.memo.get_or_build(key, build)
     }
 }
 
@@ -160,6 +207,20 @@ mod tests {
         for u in g.vertices() {
             assert_eq!(tt.out_neighbors(u), g.out_neighbors(u));
         }
+    }
+
+    #[test]
+    fn clone_and_transpose_start_with_an_empty_memo() {
+        // An out-star: one source (the hub); its transpose has two.
+        let g = Graph::from_edges(3, &[(v(0), v(1)), (v(0), v(2))]);
+        let sources = |g: &Graph| g.vertices().filter(|&u| g.in_degree(u) == 0).count();
+        assert_eq!(*g.memo("sources", || sources(&g)), 1);
+        assert_eq!(g.memo.len(), 1);
+        assert_eq!(g.clone().memo.len(), 0);
+        let t = g.transpose();
+        assert_eq!(t.memo.len(), 0);
+        assert_eq!(*t.memo("sources", || sources(&t)), 2);
+        assert_eq!(*g.memo("sources", || sources(&t)), 1, "still memoised");
     }
 
     #[test]

@@ -37,6 +37,7 @@ mod error;
 mod generators;
 mod graph;
 mod io;
+mod memo;
 mod rmat;
 mod rng;
 mod stats;

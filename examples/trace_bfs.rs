@@ -5,7 +5,9 @@
 //! `chrome://tracing` (or <https://ui.perfetto.dev>) to see one track per
 //! simulated machine with compute, serialize, send-wait, dep-wait,
 //! barrier, and collective spans laid out on the virtual-time axis. Also
-//! prints the structured metrics report the same trace aggregates into.
+//! prints the structured metrics report the same trace aggregates into,
+//! and the host time spent building the graph's placement on a cold run
+//! and on a warm rerun that reuses it.
 //!
 //! ```text
 //! cargo run --release --example trace_bfs
@@ -55,6 +57,15 @@ fn main() {
     }
 
     println!("\n{}", stats.metrics());
+
+    // The first job on a graph builds its placement (partition, layout,
+    // buckets); a second job on the same graph reuses it and builds nothing.
+    let (_, warm) = bfs(&graph, &cfg, root);
+    println!(
+        "placement build: cold {:.3} ms, warm {:.3} ms",
+        stats.time.placement_wall.as_secs_f64() * 1e3,
+        warm.time.placement_wall.as_secs_f64() * 1e3
+    );
 
     let path = "trace_bfs.chrome.json";
     stats
