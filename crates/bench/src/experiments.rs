@@ -742,12 +742,13 @@ pub struct PipelinePoint {
 impl PipelinePoint {
     /// Fraction of the bulk send stall that survives pipelining
     /// (exchange stall / send stall; lower is better). Cells where the
-    /// bulk run had no send stall report 1.0 — there was nothing to
-    /// overlap. This deterministic modelled ratio is what
+    /// bulk run had no send stall report 0.0: the exchange stall never
+    /// exceeds the send stall (asserted by the study), so no stall
+    /// survived either. This deterministic modelled ratio is what
     /// `--pipeline-check` gates on.
     pub fn overlap_ratio(&self) -> f64 {
         if self.bulk_send_stall_secs <= 0.0 {
-            1.0
+            0.0
         } else {
             self.pipe_exchange_stall_secs / self.bulk_send_stall_secs
         }
@@ -1953,50 +1954,6 @@ impl DispatchPoint {
     }
 }
 
-/// The streamed-vs-blocked apply measurement: the same
-/// uniformly-random update stream scattered into a `2^scale`-entry
-/// state array in arrival order, vs binned by the engine's
-/// [`symple_core::CacheBlocks`] and applied block by block. The
-/// blocked wall includes the binning pass (bins are pre-allocated, as
-/// the engine reuses them across passes) — the win is cache residency
-/// net of the extra copy, and it only appears once the state array
-/// outgrows the last-level cache, so the committed point uses a scale
-/// whose state exceeds the host's LLC.
-#[derive(Debug, Clone, Copy)]
-pub struct ApplyPoint {
-    /// `2^scale` state entries (`8 * 2^scale` bytes), `4 * 2^scale`
-    /// uniformly-random updates.
-    pub scale: u32,
-    /// Updates applied per variant.
-    pub updates: u64,
-    /// Cache-block width in vertices. The microbench uses a block
-    /// whose state slice is cache-sized at full scale; the engine's
-    /// `apply_block` default (1024) instead targets per-lane slices at
-    /// simulator scale.
-    pub block: usize,
-    /// Best-of-reps wall seconds, direct scatter in arrival order.
-    pub stream_wall_secs: f64,
-    /// Best-of-reps wall seconds, bin-then-apply per cache block.
-    pub blocked_wall_secs: f64,
-}
-
-impl ApplyPoint {
-    /// Stream wall over blocked wall (above 1 is a blocked win).
-    pub fn speedup(&self) -> f64 {
-        self.stream_wall_secs / self.blocked_wall_secs
-    }
-}
-
-/// The executor study behind `BENCH_exec.json`: per-edge UDF dispatch
-/// cost per kernel plus the apply-layout sweep.
-#[derive(Debug, Clone)]
-pub struct ExecStudy {
-    /// Interp-vs-bytecode dispatch cost, one point per kernel.
-    pub dispatch: Vec<DispatchPoint>,
-    /// Streamed-vs-blocked apply pass.
-    pub apply: ApplyPoint,
-}
-
 /// Times `rounds` sweeps of `signal` calls (one per vertex, `deg`
 /// pseudo-random neighbours each) under both executors.
 fn dispatch_bench(
@@ -2064,85 +2021,10 @@ fn dispatch_bench(
     }
 }
 
-/// The apply-layout half of the study (see [`ApplyPoint`]). Both
-/// variants must produce a bit-identical state array.
-pub fn apply_study(scale: u32, reps: usize) -> ApplyPoint {
-    use symple_core::CacheBlocks;
-
-    let n = 1usize << scale;
-    // An 8 MiB state slice per bin: small enough to stay cache-hot
-    // while a bin drains, wide enough that the binning fan-out stays
-    // narrow and each bin push is a near-sequential append.
-    let block = (1usize << 20).min(n);
-    let updates: Vec<(u32, u64)> = {
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        (0..n * 4)
-            .map(|_| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (((x >> 33) % n as u64) as u32, x | 1)
-            })
-            .collect()
-    };
-
-    let mut stream_wall = f64::INFINITY;
-    let mut stream_state = vec![0u64; n];
-    for _ in 0..reps.max(1) {
-        stream_state.fill(0);
-        let start = std::time::Instant::now();
-        for &(v, x) in &updates {
-            let s = &mut stream_state[v as usize];
-            *s = s.wrapping_add(x);
-        }
-        stream_wall = stream_wall.min(start.elapsed().as_secs_f64());
-    }
-
-    let blocks = CacheBlocks::new(Vid::new(0), Vid::new(n as u32), block);
-    let mut bins: Vec<Vec<(u32, u64)>> = vec![Vec::new(); blocks.num_blocks()];
-    let mut blocked_wall = f64::INFINITY;
-    let mut blocked_state = vec![0u64; n];
-    for rep in 0..reps.max(1) {
-        blocked_state.fill(0);
-        for bin in &mut bins {
-            bin.clear();
-        }
-        let start = std::time::Instant::now();
-        for &(v, x) in &updates {
-            bins[blocks.block_of(Vid::new(v))].push((v, x));
-        }
-        for bin in &bins {
-            for &(v, x) in bin {
-                let s = &mut blocked_state[v as usize];
-                *s = s.wrapping_add(x);
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        // The first rep pays the bins' growth reallocations, which the
-        // engine amortizes across passes; time warm bins only.
-        if rep > 0 || reps <= 1 {
-            blocked_wall = blocked_wall.min(elapsed);
-        }
-    }
-    assert_eq!(
-        stream_state, blocked_state,
-        "apply layout changed the state array"
-    );
-    ApplyPoint {
-        scale,
-        updates: updates.len() as u64,
-        block,
-        stream_wall_secs: stream_wall,
-        blocked_wall_secs: blocked_wall,
-    }
-}
-
-/// Runs the full executor study: the dispatch microbench on four paper
-/// kernels (8M+ edges each, best of five runs) and the apply-layout
-/// sweep at `apply_scale` (the committed `BENCH_exec.json` uses 25,
-/// where the 256 MiB state array outgrows the host's last-level cache
-/// and the blocked layout's locality pays for the binning copy).
-pub fn exec_study(apply_scale: u32) -> ExecStudy {
+/// Runs the executor study behind `BENCH_exec.json`: the interp-vs-
+/// bytecode dispatch microbench on four paper kernels (8M+ edges each,
+/// best of five runs), one point per kernel.
+pub fn exec_study() -> Vec<DispatchPoint> {
     use symple_udf::paper_udfs;
     let n = 2048usize;
     let rounds = 256usize;
@@ -2153,33 +2035,25 @@ pub fn exec_study(apply_scale: u32) -> ExecStudy {
         ("kmeans", paper_udfs::kmeans_udf()),
         ("sampling", paper_udfs::sampling_udf()),
     ];
-    let dispatch = kernels
+    kernels
         .iter()
         .map(|(name, udf)| dispatch_bench(name, udf, &props, n, rounds, 5))
-        .collect();
-    ExecStudy {
-        dispatch,
-        apply: apply_study(apply_scale, 3),
-    }
+        .collect()
 }
 
 /// Renders the executor study as a machine-readable JSON document
 /// (`BENCH_exec.json`).
-pub fn exec_json(study: &ExecStudy) -> String {
+pub fn exec_json(study: &[DispatchPoint]) -> String {
     let mut w = symple_trace::json::JsonWriter::new();
     w.begin_object();
     w.key("bench").string("executor");
     w.key("note").string(
         "udf_dispatch: PullProgram::signal over synthetic neighbour lists, \
          AST interpreter vs register-bytecode VM, checksums asserted \
-         bit-identical, wall = best of 5. apply_sweep: one uniform \
-         update stream scattered directly vs binned by CacheBlocks and \
-         applied block by block (binning included in the blocked wall, \
-         bins pre-allocated), states asserted bit-identical, wall = \
-         best of 3, state sized past the host LLC",
+         bit-identical, wall = best of 5",
     );
     w.key("udf_dispatch").begin_array();
-    for p in &study.dispatch {
+    for p in study {
         w.begin_object();
         w.key("kernel").string(p.kernel);
         w.key("edges").u64(p.edges);
@@ -2189,23 +2063,13 @@ pub fn exec_json(study: &ExecStudy) -> String {
         w.end_object();
     }
     w.end_array();
-    w.key("apply_sweep").begin_object();
-    w.key("scale").u64(u64::from(study.apply.scale));
-    w.key("updates").u64(study.apply.updates);
-    w.key("block").u64(study.apply.block as u64);
-    w.key("stream_wall_secs").f64(study.apply.stream_wall_secs);
-    w.key("blocked_wall_secs")
-        .f64(study.apply.blocked_wall_secs);
-    w.key("speedup").f64(study.apply.speedup());
-    w.end_object();
     w.end_object();
     w.finish()
 }
 
 /// Renders the executor study as a report table.
-pub fn exec_report(study: &ExecStudy) -> Report {
-    let mut rows: Vec<Vec<String>> = study
-        .dispatch
+pub fn exec_report(study: &[DispatchPoint]) -> Report {
+    let rows: Vec<Vec<String>> = study
         .iter()
         .map(|p| {
             vec![
@@ -2217,17 +2081,12 @@ pub fn exec_report(study: &ExecStudy) -> Report {
             ]
         })
         .collect();
-    let a = &study.apply;
-    rows.push(vec![
-        format!("apply/s{}", a.scale),
-        a.updates.to_string(),
-        secs(a.stream_wall_secs),
-        secs(a.blocked_wall_secs),
-        speedup(a.speedup()),
-    ]);
     let text = format!(
-        "{}\nDispatch rows: per-edge UDF cost, interpreter (baseline) vs\nbytecode VM. Apply row: direct scatter (baseline) vs cache-blocked\nbin-then-apply with a cache-sized block, state past the host LLC.\n",
-        table(&["bench", "units", "baseline", "compiled", "speedup"], &rows)
+        "{}\nDispatch rows: per-edge UDF cost, interpreter (baseline) vs\nbytecode VM.\n",
+        table(
+            &["bench", "units", "baseline", "compiled", "speedup"],
+            &rows
+        )
     );
     Report::new("exec", "Executor study (extension)", text)
 }
@@ -2849,6 +2708,24 @@ mod tests {
         }
         // The freshly measured points cannot regress against themselves.
         pipeline_check_points(&baseline, &points, 0.10).expect("self-check must pass");
+    }
+
+    #[test]
+    fn overlap_ratio_reports_no_surviving_stall_as_zero() {
+        let point = |bulk_send_stall_secs, pipe_exchange_stall_secs| PipelinePoint {
+            algo: "bfs",
+            machines: 2,
+            bulk_modelled_secs: 1.0,
+            pipe_modelled_secs: 1.0,
+            bulk_send_stall_secs,
+            pipe_exchange_stall_secs,
+            bulk_thread_wall_secs: 1.0,
+            pipe_thread_wall_secs: 1.0,
+        };
+        assert_eq!(point(0.0, 0.0).overlap_ratio(), 0.0);
+        assert_eq!(point(0.5, 0.0).overlap_ratio(), 0.0);
+        assert_eq!(point(0.5, 0.25).overlap_ratio(), 0.5);
+        assert_eq!(point(0.5, 0.5).overlap_ratio(), 1.0);
     }
 
     #[test]

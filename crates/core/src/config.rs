@@ -14,8 +14,6 @@ pub enum ConfigError {
     ZeroThreads,
     /// `chunk_size` was 0 — chunks must contain at least one entry.
     ZeroChunkSize,
-    /// `apply_block` was 0 — cache blocks must hold at least one vertex.
-    ZeroApplyBlock,
     /// `exchange_chunk` was 0 — pipelined frames must carry at least one
     /// byte.
     ZeroExchangeChunk,
@@ -41,9 +39,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroChunkSize => {
                 write!(f, "chunk_size must be at least 1 (got 0)")
-            }
-            ConfigError::ZeroApplyBlock => {
-                write!(f, "apply_block must be at least 1 (got 0)")
             }
             ConfigError::ZeroExchangeChunk => {
                 write!(f, "exchange_chunk must be at least 1 (got 0)")
@@ -146,54 +141,6 @@ impl std::str::FromStr for UdfExec {
             "interp" => Ok(UdfExec::Interp),
             "bytecode" => Ok(UdfExec::Bytecode),
             other => Err(format!("unknown udf executor `{other}` (interp|bytecode)")),
-        }
-    }
-}
-
-/// How the receive/apply pass touches destination-vertex state.
-///
-/// Outputs, `WorkStats`, and `CommStats` are bit-identical across
-/// layouts; with `threads = 1` virtual time is too. With a parallel
-/// executor the blocked layout charges one balanced per-block sweep
-/// instead of one small sweep per circulant step, so the modelled
-/// critical path (and the measured wall time) differ — that is the
-/// optimisation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ApplyLayout {
-    /// Apply each received buffer's updates immediately, in circulant
-    /// arrival order (the seed behaviour). Each step's sweep touches the
-    /// whole local vertex range.
-    Stream,
-    /// GPOP-style cache blocking: bucket decoded updates into
-    /// cache-resident vertex blocks as buffers arrive, then fold all bins
-    /// block-by-block in one sweep, touching each block's state once.
-    #[default]
-    Blocked,
-}
-
-impl ApplyLayout {
-    /// Stable lower-case name (used in bench reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            ApplyLayout::Stream => "stream",
-            ApplyLayout::Blocked => "blocked",
-        }
-    }
-}
-
-impl fmt::Display for ApplyLayout {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for ApplyLayout {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "stream" => Ok(ApplyLayout::Stream),
-            "blocked" => Ok(ApplyLayout::Blocked),
-            other => Err(format!("unknown apply layout `{other}` (stream|blocked)")),
         }
     }
 }
@@ -409,13 +356,6 @@ pub struct EngineConfig {
     /// outputs, `WorkStats`, `CommStats`, and virtual time either way —
     /// only host wall time changes.
     pub udf_exec: UdfExec,
-    /// Receive/apply pass layout: `Blocked` (cache-resident vertex blocks,
-    /// the default) or `Stream` (the seed's apply-on-arrival sweep).
-    pub apply_layout: ApplyLayout,
-    /// Vertices per cache block for the blocked apply layout (the
-    /// cache-residency granule; also the lane-scheduling unit for the
-    /// apply sweep's virtual-time charge).
-    pub apply_block: usize,
     /// How update/dependency payloads cross the wire: `Pipelined`
     /// (fixed-size frames, overlapped with decode — the default) or
     /// `Bulk` (one monolithic message per source and step).
@@ -455,8 +395,6 @@ impl EngineConfig {
             retry: RetryConfig::default(),
             backend: Backend::Sim,
             udf_exec: UdfExec::Bytecode,
-            apply_layout: ApplyLayout::Blocked,
-            apply_block: 1024,
             exchange: Exchange::Pipelined,
             exchange_chunk: 16 * 1024,
             dep_width: DepWidth::Certified,
@@ -530,18 +468,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the receive/apply pass layout.
-    pub fn apply_layout(mut self, layout: ApplyLayout) -> Self {
-        self.apply_layout = layout;
-        self
-    }
-
-    /// Sets the blocked layout's vertices-per-cache-block granule.
-    pub fn apply_block(mut self, block: usize) -> Self {
-        self.apply_block = block;
-        self
-    }
-
     /// Sets the exchange mode (bulk vs pipelined).
     pub fn exchange(mut self, exchange: Exchange) -> Self {
         self.exchange = exchange;
@@ -600,9 +526,6 @@ impl EngineConfig {
         }
         if self.chunk_size == 0 {
             return Err(ConfigError::ZeroChunkSize);
-        }
-        if self.apply_block == 0 {
-            return Err(ConfigError::ZeroApplyBlock);
         }
         if self.exchange_chunk == 0 {
             return Err(ConfigError::ZeroExchangeChunk);
@@ -771,25 +694,15 @@ mod tests {
     }
 
     #[test]
-    fn exec_and_layout_default_to_fast_paths() {
+    fn exec_defaults_to_bytecode() {
         let cfg = EngineConfig::new(4, Policy::symple());
         assert_eq!(cfg.udf_exec, UdfExec::Bytecode);
-        assert_eq!(cfg.apply_layout, ApplyLayout::Blocked);
-        assert_eq!(cfg.apply_block, 1024);
-        let cfg = cfg
-            .udf_exec(UdfExec::Interp)
-            .apply_layout(ApplyLayout::Stream)
-            .apply_block(64);
+        let cfg = cfg.udf_exec(UdfExec::Interp);
         assert_eq!(cfg.udf_exec, UdfExec::Interp);
-        assert_eq!(cfg.apply_layout, ApplyLayout::Stream);
-        assert_eq!(cfg.apply_block, 64);
         assert_eq!(cfg.validate(), Ok(()));
         assert_eq!("bytecode".parse::<UdfExec>(), Ok(UdfExec::Bytecode));
-        assert_eq!("stream".parse::<ApplyLayout>(), Ok(ApplyLayout::Stream));
         assert!("fancy".parse::<UdfExec>().is_err());
-        assert!("fancy".parse::<ApplyLayout>().is_err());
         assert_eq!(UdfExec::Bytecode.to_string(), "bytecode");
-        assert_eq!(ApplyLayout::Blocked.to_string(), "blocked");
     }
 
     #[test]
@@ -841,16 +754,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ConfigError::ZeroExchangeChunk);
         assert!(err.to_string().contains("exchange_chunk"));
-    }
-
-    #[test]
-    fn zero_apply_block_invalid() {
-        let err = EngineConfig::new(2, Policy::Gemini)
-            .apply_block(0)
-            .validate()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::ZeroApplyBlock);
-        assert!(err.to_string().contains("apply_block"));
     }
 
     #[test]

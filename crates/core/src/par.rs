@@ -30,7 +30,7 @@
 //! range, mutates it privately, and the shards merge back in chunk
 //! order — reproducing sequential loop-carried semantics exactly.
 
-use crate::{BucketPart, CacheBlocks, DepState, Partition, PullProgram, PushProgram};
+use crate::{BucketPart, DepState, Partition, PullProgram, PushProgram};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -372,21 +372,6 @@ pub(crate) fn decode_pass<U: Wire + Copy + Send>(buf: &[u8], pc: ParCfg) -> Deco
         pairs.extend_from_slice(&c);
     }
     (pairs, costs)
-}
-
-/// Scatters a decoded pair stream into per-cache-block bins (the blocked
-/// apply layout's bucketing step). Appending preserves stream order within
-/// each bin, so all updates targeting one vertex keep their arrival order
-/// — the blocked sweep reorders *across* vertices only.
-pub(crate) fn bin_updates<U: Copy>(
-    pairs: &[(Vid, U)],
-    blocks: &CacheBlocks,
-    bins: &mut [Vec<(Vid, U)>],
-) {
-    debug_assert_eq!(bins.len(), blocks.num_blocks());
-    for &(v, upd) in pairs {
-        bins[blocks.block_of(v)].push((v, upd));
-    }
 }
 
 #[cfg(test)]

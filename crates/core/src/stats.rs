@@ -30,8 +30,7 @@ pub enum WorkMetric {
     /// Update messages emitted by signals.
     UpdatesEmitted,
     /// Updates consumed by the receive/apply pass (each decoded pair
-    /// folded into a master's state). Identical across apply layouts —
-    /// the blocked sweep reorders, it never drops or duplicates.
+    /// folded into a master's state).
     UpdatesApplied,
     /// Pull iterations executed.
     PullIterations,

@@ -28,8 +28,8 @@
 use crate::circulant::{dst_partition, processing_order};
 use crate::par::{self, ParCfg, PassOutput};
 use crate::{
-    ApplyLayout, CacheBlocks, DepState, EarlyExit, EngineConfig, LocalGraph, Partition, Placement,
-    Policy, PullProgram, PushProgram, WorkMetric, WorkStats,
+    DepState, EarlyExit, EngineConfig, LocalGraph, Partition, Placement, Policy, PullProgram,
+    PushProgram, WorkMetric, WorkStats,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -37,9 +37,11 @@ use std::time::{Duration, Instant};
 use symple_graph::{Bitmap, Graph, Vid};
 use symple_net::{CodecStats, CommKind, NodeCtx, SpanCategory, Tag, TagKind, Wire, WireFormat};
 
-/// Per-cache-block update bins of the blocked apply layout, paired with
-/// the block geometry that routes a vertex to its bin.
-type ApplyBins<U> = (CacheBlocks, Vec<Vec<(Vid, U)>>);
+/// One update source of a receive/apply phase: `(source rank, trace
+/// step, update tag)`. Sources are listed in canonical consumption order —
+/// the circulant processing order in pull, rank order in push — and the
+/// trace step is the one the apply charges are attributed to.
+type Source = (usize, u32, Tag);
 
 /// One in-flight update stream of the pipelined exchange: frames are
 /// absorbed (and, once the stream completes, decoded) whenever this
@@ -297,10 +299,24 @@ impl<'a> Worker<'a> {
     }
 
     /// Receives the dependency message from `src` and decodes it into
-    /// `dep` over `range`. Both sides dispatch on the same config, so the
-    /// decoder always matches what the peer encoded.
-    fn recv_dep<D: DepState>(&mut self, src: usize, tag: Tag, dep: &mut D, range: Range<usize>) {
-        let buf = self.ctx.recv(src, tag);
+    /// `dep` over `range`. Under the pipelined exchange the message
+    /// arrives framed and update-stream gather/decode work fills the
+    /// waits (see [`Worker::gather_dep_frames`]). Both sides dispatch on
+    /// the same config, so the decoder always matches what the peer
+    /// encoded.
+    fn recv_dep<D: DepState, U: Wire + Copy + Send>(
+        &mut self,
+        src: usize,
+        tag: Tag,
+        dep: &mut D,
+        range: Range<usize>,
+        streams: &mut [PipeStream<U>],
+    ) {
+        let buf = if self.cfg.pipelined() {
+            self.gather_dep_frames(src, tag, streams)
+        } else {
+            self.ctx.recv(src, tag)
+        };
         if self.cfg.adaptive_wire() {
             dep.decode_range_coded(range, &buf);
         } else {
@@ -348,12 +364,17 @@ impl<'a> Worker<'a> {
     // therefore free to race with host scheduling while the model stays
     // bit-deterministic.
 
-    /// Fresh gather state for the given `(source rank, stream tag)` pairs,
-    /// listed in canonical consumption order.
-    fn pipe_streams<U>(&mut self, sources: &[(usize, Tag)]) -> Vec<PipeStream<U>> {
+    /// Fresh gather state for the remote `sources` (listed in canonical
+    /// consumption order); empty under the bulk exchange.
+    fn pipe_streams<U>(&mut self, sources: &[Source]) -> Vec<PipeStream<U>> {
+        if !self.cfg.pipelined() {
+            return Vec::new();
+        }
+        let rank = self.ctx.rank();
         sources
             .iter()
-            .map(|&(src, tag)| PipeStream {
+            .filter(|&&(src, _, _)| src != rank)
+            .map(|&(src, _, tag)| PipeStream {
                 src,
                 tag,
                 frames: Vec::new(),
@@ -390,13 +411,13 @@ impl<'a> Worker<'a> {
     /// Physical only — the decode CPU runs now (ideally inside somebody
     /// else's network latency), the modelled cost is charged at
     /// consumption by [`Worker::charge_stream`].
-    fn decode_stream<U: Wire + Copy + Send>(&mut self, st: &mut PipeStream<U>, psize: usize) {
+    fn decode_stream<U: Wire + Copy + Send>(&mut self, st: &mut PipeStream<U>) {
         debug_assert!(st.complete && st.decoded.is_none());
         let wire = std::mem::take(&mut st.wire);
         let pc = self.par_cfg();
         let decoded = if self.cfg.adaptive_wire() {
             let mut flat = self.take_buf(st.src);
-            symple_net::decode_updates(&wire, psize, &mut flat);
+            symple_net::decode_updates(&wire, U::SIZE, &mut flat);
             let d = par::decode_pass::<U>(&flat, pc);
             self.recycle_buf(st.src, flat);
             d
@@ -409,14 +430,10 @@ impl<'a> Worker<'a> {
 
     /// Decodes the first stream that has fully arrived but not yet been
     /// decoded, if any. The unit of useful work a blocked wait loop can do.
-    fn decode_one_ready<U: Wire + Copy + Send>(
-        &mut self,
-        streams: &mut [PipeStream<U>],
-        psize: usize,
-    ) -> bool {
+    fn decode_one_ready<U: Wire + Copy + Send>(&mut self, streams: &mut [PipeStream<U>]) -> bool {
         for st in streams.iter_mut() {
             if st.complete && st.decoded.is_none() {
-                self.decode_stream(st, psize);
+                self.decode_stream(st);
                 return true;
             }
         }
@@ -433,7 +450,6 @@ impl<'a> Worker<'a> {
         &mut self,
         streams: &mut [PipeStream<U>],
         target: usize,
-        psize: usize,
     ) {
         let deadline = Instant::now() + self.ctx.recv_deadline();
         loop {
@@ -441,7 +457,7 @@ impl<'a> Worker<'a> {
             if streams[target].complete {
                 return;
             }
-            if self.decode_one_ready(streams, psize) {
+            if self.decode_one_ready(streams) {
                 continue;
             }
             let remaining = deadline.saturating_duration_since(Instant::now());
@@ -453,20 +469,17 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Receives a framed dependency message, doing update-stream gather
+    /// Assembles a framed dependency message, doing update-stream gather
     /// and decode work whenever the next dependency frame has not landed
     /// yet. Arrival waits are charged per frame as `DepWait`, exactly like
     /// the bulk receive's single wait (the final clock is identical: both
     /// end at the last byte's modelled arrival).
-    fn recv_dep_framed<D: DepState, U: Wire + Copy + Send>(
+    fn gather_dep_frames<U: Wire + Copy + Send>(
         &mut self,
         src: usize,
         tag: Tag,
-        dep: &mut D,
-        range: Range<usize>,
         streams: &mut [PipeStream<U>],
-        psize: usize,
-    ) {
+    ) -> Vec<u8> {
         let chunk = self.cfg.exchange_chunk;
         let mut buf = self.take_buf(src);
         let mut frame = 0u32;
@@ -478,7 +491,7 @@ impl<'a> Worker<'a> {
                 if let Some(got) = self.ctx.try_take_frame(src, ftag) {
                     break got;
                 }
-                if self.decode_one_ready(streams, psize) {
+                if self.decode_one_ready(streams) {
                     continue;
                 }
                 let remaining = deadline.saturating_duration_since(Instant::now());
@@ -493,12 +506,7 @@ impl<'a> Worker<'a> {
             }
             frame += 1;
         }
-        if self.cfg.adaptive_wire() {
-            dep.decode_range_coded(range, &buf);
-        } else {
-            dep.decode_range(range, &buf);
-        }
-        self.recycle_buf(src, buf);
+        buf
     }
 
     /// Replays a consumed stream's modelled schedule in canonical order:
@@ -535,57 +543,6 @@ impl<'a> Worker<'a> {
             chunk: self.cfg.chunk_size,
             evaluate_skipped: self.cfg.early_exit == EarlyExit::Evaluate,
         }
-    }
-
-    /// Cache-block bins for the blocked apply layout (`None` under
-    /// `Stream`): one bin per `apply_block`-vertex block of this machine's
-    /// master range, filled as update buffers are decoded and drained by
-    /// [`Worker::apply_blocked`].
-    fn blocked_bins<U: Copy>(&self) -> Option<ApplyBins<U>> {
-        if self.cfg.apply_layout != ApplyLayout::Blocked {
-            return None;
-        }
-        let (lo, hi) = self.my_range();
-        let blocks = CacheBlocks::new(lo, hi, self.cfg.apply_block);
-        let bins = vec![Vec::new(); blocks.num_blocks()];
-        Some((blocks, bins))
-    }
-
-    /// The blocked sweep: folds each bin into its cache-resident block of
-    /// master state, one block at a time, so the pass touches each block's
-    /// state exactly once. Charges the per-bin lane costs under
-    /// `SpanCategory::Apply` — the same total as the stream layout's
-    /// per-buffer charges, scheduled over one balanced sweep. Returns the
-    /// number of activations.
-    fn apply_blocked<U: Copy>(
-        &mut self,
-        bins: Vec<Vec<(Vid, U)>>,
-        apply: &mut dyn FnMut(Vid, U) -> bool,
-    ) -> u64 {
-        let costs: Vec<(u64, u64)> = bins.iter().map(|b| (0, b.len() as u64)).collect();
-        let activated = self.fold_bins(bins, apply);
-        self.ctx.apply_sharded(&costs, self.cfg.threads);
-        activated
-    }
-
-    /// The fold half of the blocked sweep, with no model charge: the
-    /// pipelined exchange charges apply time frame by frame as streams are
-    /// consumed, so its end-of-phase sweep must only move the data.
-    fn fold_bins<U: Copy>(
-        &mut self,
-        bins: Vec<Vec<(Vid, U)>>,
-        apply: &mut dyn FnMut(Vid, U) -> bool,
-    ) -> u64 {
-        let mut activated = 0u64;
-        for bin in bins {
-            for (v, upd) in bin {
-                debug_assert!(self.is_master(v), "update routed to wrong master");
-                if apply(v, upd) {
-                    activated += 1;
-                }
-            }
-        }
-        activated
     }
 
     /// Current virtual time on this machine.
@@ -725,7 +682,10 @@ impl<'a> Worker<'a> {
 
     /// Runs one dense (pull) iteration of `prog` under the configured
     /// policy and applies the produced updates at their masters via
-    /// `apply(v, update) -> activated`.
+    /// `apply(v, update) -> activated`. Each source's updates are applied
+    /// as its buffer arrives, in the circulant processing order of this
+    /// partition, so every master folds partial results in exactly the
+    /// sequential neighbour order the dependency semantics define.
     ///
     /// `dep` must have at least [`Worker::dep_slots_needed`] slots; the
     /// engine resets ranges as the circulant schedule requires, so the
@@ -751,31 +711,28 @@ impl<'a> Worker<'a> {
         let iter = self.iter_seq;
         self.stats.add(WorkMetric::PullIterations, 1);
         let symple = self.cfg.policy.propagates_dependency();
-        let galois = matches!(self.cfg.policy, Policy::Galois);
         let groups = self.cfg.effective_groups();
         let right = (rank + 1) % p;
         let left = (rank + p - 1) % p;
         let pc = self.par_cfg();
         let mut local_updates: Vec<u8> = Vec::new();
 
-        // Pipelined exchange: set up gather state for the update streams
-        // this machine will consume, in canonical circulant order, so
-        // frames can be absorbed (and completed streams decoded) while the
-        // scatter phase is still running or blocked on dependencies.
-        let pipelined = self.cfg.pipelined();
-        let specs: Vec<(usize, Tag)> = processing_order(rank, p)
+        // Update sources in the circulant processing order of this
+        // partition (…, rank−2, rank−1 first; local last), each attributed
+        // to the step at which machine `m` produced (and sent) its buffer.
+        let sources: Vec<Source> = processing_order(rank, p)
             .into_iter()
-            .filter(|&m| m != rank)
             .map(|m| {
                 let s = (rank + p - 1 - m) % p;
-                (m, Tag::new(TagKind::Update, iter * p as u64 + s as u64, 0))
+                let tag = Tag::new(TagKind::Update, iter * p as u64 + s as u64, 0);
+                (m, s as u32, tag)
             })
             .collect();
-        let mut streams: Vec<PipeStream<P::Update>> = if pipelined {
-            self.pipe_streams(&specs)
-        } else {
-            Vec::new()
-        };
+        // Pipelined exchange: gather state is set up front so frames can
+        // be absorbed (and completed streams decoded) while the scatter
+        // phase is still running or blocked on dependencies.
+        let pipelined = self.cfg.pipelined();
+        let mut streams = self.pipe_streams::<P::Update>(&sources);
 
         for s in 0..p {
             self.ctx.set_trace_scope(iter as u32, s as u32, 0);
@@ -801,18 +758,7 @@ impl<'a> Worker<'a> {
                         dep.reset_range(0..n_slots);
                     } else {
                         let tag = Tag::new(TagKind::Dep, iter * p as u64 + (s as u64 - 1), 0);
-                        if pipelined {
-                            self.recv_dep_framed(
-                                right,
-                                tag,
-                                dep,
-                                0..n_slots,
-                                &mut streams,
-                                P::Update::SIZE,
-                            );
-                        } else {
-                            self.recv_dep(right, tag, dep, 0..n_slots);
-                        }
+                        self.recv_dep(right, tag, dep, 0..n_slots, &mut streams);
                     }
                 }
                 let bucket = self.local().bucket(j);
@@ -842,18 +788,7 @@ impl<'a> Worker<'a> {
                         } else {
                             let tag =
                                 Tag::new(TagKind::Dep, iter * p as u64 + (s as u64 - 1), g as u32);
-                            if pipelined {
-                                self.recv_dep_framed(
-                                    right,
-                                    tag,
-                                    dep,
-                                    slot_range.clone(),
-                                    &mut streams,
-                                    P::Update::SIZE,
-                                );
-                            } else {
-                                self.recv_dep(right, tag, dep, slot_range.clone());
-                            }
+                            self.recv_dep(right, tag, dep, slot_range.clone(), &mut streams);
                         }
                     }
                     let gp = {
@@ -890,110 +825,84 @@ impl<'a> Worker<'a> {
             }
         }
 
-        // Apply phase: consume update buffers in the circulant processing
-        // order of this partition (…, rank−2, rank−1 first; local last), so
-        // the master folds partial results in exactly the sequential
-        // neighbour order the dependency semantics define. Decoding is
-        // chunked; `apply` itself runs sequentially (it is a `FnMut` over
-        // caller state) — in stream order under the `Stream` layout, in
-        // cache-block order under `Blocked` (same per-vertex order either
-        // way; see [`crate::ApplyLayout`]).
+        self.receive_apply(iter, &sources, local_updates, &mut streams, apply)
+    }
+
+    /// The receive/apply phase shared by [`Worker::pull`] and
+    /// [`Worker::push`]: consumes one update buffer per source of
+    /// `sources`, in that (canonical) order, and applies each buffer's
+    /// updates on arrival. The local buffer is decoded in place; a remote
+    /// one is completed from its pipelined stream (whose modelled
+    /// schedule [`Worker::charge_stream`] replays) or received whole under
+    /// the bulk exchange. Every source's records are charged as
+    /// [`SpanCategory::Apply`] under its trace step. Ends the phase with
+    /// the Galois broadcast of every applied value, when that policy is
+    /// in effect. Returns the number of local master activations.
+    fn receive_apply<U: Wire + Copy + Send>(
+        &mut self,
+        iter: u64,
+        sources: &[Source],
+        mut local: Vec<u8>,
+        streams: &mut [PipeStream<U>],
+        apply: &mut dyn FnMut(Vid, U) -> bool,
+    ) -> u64 {
+        let rank = self.ctx.rank();
+        let pipelined = self.cfg.pipelined();
+        let galois = matches!(self.cfg.policy, Policy::Galois);
+        let pc = self.par_cfg();
         let mut activated = 0u64;
         let mut applied = 0u64;
         let mut feedback: Vec<u8> = Vec::new();
-        let mut sweep = self.blocked_bins::<P::Update>();
         let mut si = 0usize;
-        for m in processing_order(rank, p) {
-            // Attribute apply-phase time to the step at which machine `m`
-            // produced (and sent) the buffer being consumed.
-            let s = (rank + p - 1 - m) % p;
-            self.ctx.set_trace_scope(iter as u32, s as u32, 0);
-            if m == rank || !pipelined {
+        for &(m, step, tag) in sources {
+            self.ctx.set_trace_scope(iter as u32, step, 0);
+            let pairs = if m == rank || !pipelined {
                 let buf = if m == rank {
-                    std::mem::take(&mut local_updates)
+                    std::mem::take(&mut local)
                 } else {
-                    let tag = Tag::new(TagKind::Update, iter * p as u64 + s as u64, 0);
-                    self.recv_updates(m, tag, P::Update::SIZE)
+                    self.recv_updates(m, tag, U::SIZE)
                 };
-                let (pairs, costs) = par::decode_pass::<P::Update>(&buf, pc);
-                applied += pairs.len() as u64;
-                if galois {
-                    // Gluon broadcasts every reduced value back to the
-                    // mirrors, whether or not it activated the vertex. The
-                    // feedback stream is written at decode time, so its
-                    // bytes are identical under both apply layouts.
-                    for &(v, upd) in &pairs {
-                        v.write(&mut feedback);
-                        upd.write(&mut feedback);
-                    }
-                }
-                let charge = if let Some((blocks, bins)) = &mut sweep {
-                    // The blocked sweep charges binned records itself —
-                    // except under the pipelined exchange, whose sweep is
-                    // a pure fold (remote records are charged per frame),
-                    // so the local buffer must be charged here.
-                    par::bin_updates(&pairs, blocks, bins);
-                    m == rank && pipelined
-                } else {
-                    for (v, upd) in pairs {
-                        debug_assert!(self.is_master(v), "update routed to wrong master");
-                        if apply(v, upd) {
-                            activated += 1;
-                        }
-                    }
-                    true
-                };
-                if charge {
-                    self.ctx.apply_sharded(&costs, pc.threads);
-                }
+                let (pairs, costs) = par::decode_pass::<U>(&buf, pc);
+                self.ctx.apply_sharded(&costs, pc.threads);
                 self.recycle_buf(m, buf);
+                pairs
             } else {
                 // Pipelined: the stream may already be gathered and even
                 // decoded; block only for what has not physically arrived,
                 // then replay its modelled schedule in canonical order.
-                self.complete_stream(&mut streams, si, P::Update::SIZE);
-                if streams[si].decoded.is_none() {
-                    self.decode_stream(&mut streams[si], P::Update::SIZE);
-                }
+                self.complete_stream(streams, si);
                 let st = &mut streams[si];
-                debug_assert_eq!(st.src, m, "streams follow processing order");
+                si += 1;
+                debug_assert_eq!(st.src, m, "streams follow the source order");
+                if st.decoded.is_none() {
+                    self.decode_stream(st);
+                }
                 let (pairs, _) = st.decoded.take().expect("decoded above");
                 let frames = std::mem::take(&mut st.frames);
-                si += 1;
-                applied += pairs.len() as u64;
-                if galois {
-                    for &(v, upd) in &pairs {
-                        v.write(&mut feedback);
-                        upd.write(&mut feedback);
-                    }
-                }
                 self.charge_stream(&frames, pairs.len() as u64);
-                if let Some((blocks, bins)) = &mut sweep {
-                    par::bin_updates(&pairs, blocks, bins);
-                } else {
-                    for (v, upd) in pairs {
-                        debug_assert!(self.is_master(v), "update routed to wrong master");
-                        if apply(v, upd) {
-                            activated += 1;
-                        }
-                    }
+                pairs
+            };
+            applied += pairs.len() as u64;
+            if galois {
+                // Gluon broadcasts every reduced value back to the
+                // mirrors, whether or not it activated the vertex.
+                for &(v, upd) in &pairs {
+                    v.write(&mut feedback);
+                    upd.write(&mut feedback);
+                }
+            }
+            for (v, upd) in pairs {
+                debug_assert!(self.is_master(v), "update routed to wrong master");
+                if apply(v, upd) {
+                    activated += 1;
                 }
             }
         }
-        if let Some((_, bins)) = sweep {
-            self.ctx.set_trace_scope(iter as u32, 0, 0);
-            activated += if pipelined {
-                self.fold_bins(bins, apply)
-            } else {
-                self.apply_blocked(bins, apply)
-            };
-        }
         self.stats.add(WorkMetric::UpdatesApplied, applied);
-
         if galois {
             // Gluon-style second phase: masters broadcast applied values
             // back to every machine's mirrors, then a BSP barrier.
-            self.galois_broadcast(P::Update::SIZE, feedback);
+            self.galois_broadcast(U::SIZE, feedback);
         }
         activated
     }
@@ -1024,7 +933,8 @@ impl<'a> Worker<'a> {
 
     /// Runs one sparse (push) iteration: walks the out-edges of the given
     /// *local master* frontier vertices, routes updates to destination
-    /// masters, applies them via `apply`. Returns local activations.
+    /// masters, and applies each source's updates via `apply` as its
+    /// buffer arrives, in rank order. Returns local activations.
     /// Collective.
     ///
     /// # Panics
@@ -1042,7 +952,6 @@ impl<'a> Worker<'a> {
         let iter = self.iter_seq;
         self.stats.add(WorkMetric::PushIterations, 1);
         self.ctx.set_trace_scope(iter as u32, 0, 0);
-        let galois = matches!(self.cfg.policy, Policy::Galois);
 
         debug_assert!(
             frontier.iter().all(|&u| self.is_master(u)),
@@ -1058,16 +967,13 @@ impl<'a> Worker<'a> {
 
         let mut outboxes = pass.outboxes;
         let tag = Tag::new(TagKind::Update, iter * p as u64, 0);
+        // Push consumes sources in rank order, all attributed to step 0.
+        let sources: Vec<Source> = (0..p).map(|m| (m, 0, tag)).collect();
         // Pipelined exchange: gather state up front, swept between sends,
         // so early senders' frames are absorbed while later outboxes are
-        // still being shipped. Push consumes sources in rank order.
+        // still being shipped.
         let pipelined = self.cfg.pipelined();
-        let specs: Vec<(usize, Tag)> = (0..p).filter(|&m| m != rank).map(|m| (m, tag)).collect();
-        let mut streams: Vec<PipeStream<P::Update>> = if pipelined {
-            self.pipe_streams(&specs)
-        } else {
-            Vec::new()
-        };
+        let mut streams = self.pipe_streams::<P::Update>(&sources);
         for (m, outbox) in outboxes.iter_mut().enumerate() {
             if m != rank {
                 let payload = std::mem::take(outbox);
@@ -1078,90 +984,8 @@ impl<'a> Worker<'a> {
             }
         }
 
-        let mut activated = 0u64;
-        let mut applied = 0u64;
-        let mut feedback: Vec<u8> = Vec::new();
-        let mut sweep = self.blocked_bins::<P::Update>();
-        let mut si = 0usize;
-        for m in 0..p {
-            if m == rank || !pipelined {
-                let buf = if m == rank {
-                    std::mem::take(&mut outboxes[rank])
-                } else {
-                    self.recv_updates(m, tag, P::Update::SIZE)
-                };
-                let (pairs, costs) = par::decode_pass::<P::Update>(&buf, pc);
-                applied += pairs.len() as u64;
-                if galois {
-                    // Gluon broadcasts every reduced value back to the
-                    // mirrors, whether or not it activated the vertex.
-                    // Written at decode time, so the feedback bytes are
-                    // identical under both apply layouts.
-                    for &(v, upd) in &pairs {
-                        v.write(&mut feedback);
-                        upd.write(&mut feedback);
-                    }
-                }
-                let charge = if let Some((blocks, bins)) = &mut sweep {
-                    // As in pull: the pipelined sweep is a pure fold, so
-                    // the local buffer's records are charged here.
-                    par::bin_updates(&pairs, blocks, bins);
-                    m == rank && pipelined
-                } else {
-                    for (v, upd) in pairs {
-                        debug_assert!(self.is_master(v), "update routed to wrong master");
-                        if apply(v, upd) {
-                            activated += 1;
-                        }
-                    }
-                    true
-                };
-                if charge {
-                    self.ctx.apply_sharded(&costs, pc.threads);
-                }
-                self.recycle_buf(m, buf);
-            } else {
-                self.complete_stream(&mut streams, si, P::Update::SIZE);
-                if streams[si].decoded.is_none() {
-                    self.decode_stream(&mut streams[si], P::Update::SIZE);
-                }
-                let st = &mut streams[si];
-                debug_assert_eq!(st.src, m, "streams follow rank order");
-                let (pairs, _) = st.decoded.take().expect("decoded above");
-                let frames = std::mem::take(&mut st.frames);
-                si += 1;
-                applied += pairs.len() as u64;
-                if galois {
-                    for &(v, upd) in &pairs {
-                        v.write(&mut feedback);
-                        upd.write(&mut feedback);
-                    }
-                }
-                self.charge_stream(&frames, pairs.len() as u64);
-                if let Some((blocks, bins)) = &mut sweep {
-                    par::bin_updates(&pairs, blocks, bins);
-                } else {
-                    for (v, upd) in pairs {
-                        debug_assert!(self.is_master(v), "update routed to wrong master");
-                        if apply(v, upd) {
-                            activated += 1;
-                        }
-                    }
-                }
-            }
-        }
-        if let Some((_, bins)) = sweep {
-            activated += if pipelined {
-                self.fold_bins(bins, apply)
-            } else {
-                self.apply_blocked(bins, apply)
-            };
-        }
-        self.stats.add(WorkMetric::UpdatesApplied, applied);
-        if galois {
-            self.galois_broadcast(P::Update::SIZE, feedback);
-        }
-        activated
+        let local = std::mem::take(&mut outboxes[rank]);
+        self.receive_apply(iter, &sources, local, &mut streams, apply)
     }
 }
 

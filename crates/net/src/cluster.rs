@@ -202,8 +202,8 @@ impl NodeCtx {
     }
 
     /// [`NodeCtx::compute_sharded`], but charged to
-    /// [`SpanCategory::Apply`]: the partition-blocked sweep that folds
-    /// binned updates into the destination masters' state. Identical
+    /// [`SpanCategory::Apply`]: the receive/apply phase that folds arrived
+    /// updates into the destination masters' state. Identical
     /// critical-path math — only the trace attribution differs, so the
     /// apply phase is separable from signal-side edge work in reports.
     pub fn apply_sharded(&mut self, chunks: &[(u64, u64)], threads: usize) {

@@ -90,10 +90,10 @@ pub enum SpanCategory {
     /// fault-free runs — the category exists so fault recovery is visible
     /// without polluting the six fault-free categories.
     Retry,
-    /// The partition-blocked apply sweep: folding binned updates into the
-    /// destination masters' state, one cache-resident vertex block at a
-    /// time. Charged from per-block lane costs, so it is distinguishable
-    /// from the signal-side [`SpanCategory::Compute`] edge work.
+    /// The receive/apply phase: folding each arrived update buffer into
+    /// the destination masters' state. Charged from per-chunk lane costs
+    /// of the decoded records, so it is distinguishable from the
+    /// signal-side [`SpanCategory::Compute`] edge work.
     Apply,
     /// Waiting for the next frame of a pipelined exchange stream. Under
     /// `Exchange::Pipelined` the apply phase consumes update payloads one

@@ -1,6 +1,12 @@
-//! Executor and layout equivalence: the UDF bytecode VM and the
-//! partition-centric blocked apply pass are *performance* features and
-//! must be invisible to every observable the engine models.
+//! Executor and knob equivalence: the UDF bytecode VM and the
+//! certificate-driven wire and early-exit modes are *performance* features
+//! and must be invisible to every observable the engine models.
+//!
+//! Every comparison below runs [`run_kernel`], whose per-vertex output is
+//! an order-sensitive hash chain over the applied updates, so each axis
+//! also pins the order in which updates reach a master — the circulant
+//! processing order the dependency semantics define — not just their
+//! multiset.
 //!
 //! * **Executor axis** (`UdfExec::Interp` vs `UdfExec::Bytecode`): the
 //!   register VM must be bit-identical to the tree interpreter in
@@ -8,19 +14,6 @@
 //!   (including the per-category trace breakdown) at every thread count —
 //!   the executor only changes host-CPU dispatch, which virtual time by
 //!   design does not observe.
-//! * **Layout axis** (`ApplyLayout::Blocked` vs `ApplyLayout::Stream`):
-//!   binning decoded updates into cache blocks reorders the apply sweep
-//!   across vertices (never per vertex), so outputs, work, and
-//!   communication stay bit-identical. Virtual *makespan* legitimately
-//!   differs even at one thread: stream interleaves apply charges with
-//!   the per-step receives (overlapping apply with waiting), while
-//!   blocked defers the whole sweep past the last arrival. What is
-//!   conserved at `threads = 1` is the *amount* of charged work — the
-//!   signal-side `Compute` total is bit-identical and the `Apply` total
-//!   matches up to f64 summation order (the layouts group the same
-//!   per-update costs into different partial sums). At higher thread
-//!   counts the blocked sweep's balanced lane schedule *is* the modelled
-//!   optimisation and even the Apply amount may differ.
 //! * **Dep-width axis** (`DepWidth::Wide` vs `DepWidth::Certified`):
 //!   the abstract-interpretation certificate narrows carried-value wire
 //!   slots and elides latched payloads, which changes *dependency bytes
@@ -48,7 +41,6 @@
 use proptest::prelude::*;
 use symplegraph::core::{
     run_spmd, DepWidth, EarlyExit, EngineConfig, Policy, RunStats, SpanCategory, UdfExec,
-    WorkMetric,
 };
 use symplegraph::graph::{Bitmap, Graph, GraphBuilder, RmatConfig, Vid};
 use symplegraph::net::CommKind;
@@ -165,7 +157,9 @@ fn kernels() -> Vec<(&'static str, UdfFn)> {
 }
 
 /// Runs one instrumented kernel under `cfg`, accumulating per-vertex
-/// (update count, wrapping bit-sum) as the output.
+/// (update count, order-sensitive FNV-style hash chain of the update
+/// bits) as the output: the chain differs if any master sees the same
+/// updates in a different order.
 fn run_kernel(
     graph: &Graph,
     props: &PropertyStore,
@@ -182,7 +176,9 @@ fn run_kernel(
         let mut apply = |v: Vid, bits: u64| -> bool {
             let e = &mut acc[v.index()];
             e.0 += 1;
-            e.1 = e.1.wrapping_add(bits);
+            e.1 =
+                e.1.wrapping_mul(0x100000001b3)
+                    .wrapping_add(bits ^ 0xcbf29ce484222325);
             false
         };
         w.pull(&prog, &mut dep, &mut apply);
@@ -198,8 +194,8 @@ enum TimeMatch {
     Exact,
     /// Work-conservation only: Compute totals bit-identical, Apply
     /// totals equal up to f64 summation order. Makespan and the waiting
-    /// categories are free — the layouts schedule the same charges at
-    /// different points of the timeline.
+    /// categories are free — the exchange modes schedule the same charges
+    /// at different points of the timeline.
     Conserved,
     /// Not compared (the difference is the modelled optimisation).
     Free,
@@ -257,7 +253,7 @@ fn assert_identical(
 }
 
 #[test]
-fn executors_and_layouts_agree_across_kernels() {
+fn executors_agree_across_kernels() {
     let graph = RmatConfig::graph500(8, 8).cleaned(true).generate();
     let props = study_props(graph.num_vertices());
     for (name, udf) in kernels() {
@@ -273,56 +269,16 @@ fn executors_and_layouts_agree_across_kernels() {
             Policy::Gemini,
         ] {
             for threads in [1usize, 4, 8] {
-                let mk = |exec: UdfExec, layout: symplegraph::core::ApplyLayout| {
-                    EngineConfig::new(4, policy)
-                        .threads(threads)
-                        .udf_exec(exec)
-                        .apply_layout(layout)
-                };
-                use symplegraph::core::ApplyLayout;
-                let bytecode = run_kernel(
-                    &graph,
-                    &props,
-                    &inst,
-                    &mk(UdfExec::Bytecode, ApplyLayout::Blocked),
-                );
-                let interp = run_kernel(
-                    &graph,
-                    &props,
-                    &inst,
-                    &mk(UdfExec::Interp, ApplyLayout::Blocked),
-                );
-                // Executor axis: identical in everything, always.
+                let mk =
+                    |exec: UdfExec| EngineConfig::new(4, policy).threads(threads).udf_exec(exec);
+                let bytecode = run_kernel(&graph, &props, &inst, &mk(UdfExec::Bytecode));
+                let interp = run_kernel(&graph, &props, &inst, &mk(UdfExec::Interp));
+                // Identical in everything, always.
                 assert_identical(
                     &format!("{name}/{policy:?}/t{threads} interp-vs-bytecode"),
                     &interp,
                     &bytecode,
                     TimeMatch::Exact,
-                );
-                let stream = run_kernel(
-                    &graph,
-                    &props,
-                    &inst,
-                    &mk(UdfExec::Bytecode, ApplyLayout::Stream),
-                );
-                // Layout axis: identical outputs/work/comm; charged-work
-                // conservation at threads = 1 (above that the blocked
-                // sweep's balanced lanes are the optimisation).
-                assert_identical(
-                    &format!("{name}/{policy:?}/t{threads} stream-vs-blocked"),
-                    &stream,
-                    &bytecode,
-                    if threads == 1 {
-                        TimeMatch::Conserved
-                    } else {
-                        TimeMatch::Free
-                    },
-                );
-                // The apply pass consumed every update it decoded,
-                // under either layout.
-                assert_eq!(
-                    bytecode.1.work.get(WorkMetric::UpdatesApplied),
-                    stream.1.work.get(WorkMetric::UpdatesApplied),
                 );
             }
         }
@@ -429,7 +385,7 @@ fn early_exit_audit_is_invisible_to_every_observable() {
 
 #[test]
 fn exchange_modes_agree_across_kernels() {
-    use symplegraph::core::{ApplyLayout, Exchange};
+    use symplegraph::core::Exchange;
     use symplegraph::net::CostModel;
     // A chunk far below the per-step payloads, so streams really frame.
     let graph = RmatConfig::graph500(8, 8).cleaned(true).generate();
@@ -446,59 +402,55 @@ fn exchange_modes_agree_across_kernels() {
             Policy::Galois,
         ] {
             for threads in [1usize, 4] {
-                for layout in [ApplyLayout::Blocked, ApplyLayout::Stream] {
-                    let mk = |exchange: Exchange| {
-                        EngineConfig::new(4, policy)
-                            .threads(threads)
-                            .apply_layout(layout)
-                            .cost(CostModel::cluster_a().scale_fixed_costs(1e-3))
-                            .exchange(exchange)
-                            .exchange_chunk(256)
-                    };
-                    let bulk = run_kernel(&graph, &props, &inst, &mk(Exchange::Bulk));
-                    let pipe = run_kernel(&graph, &props, &inst, &mk(Exchange::Pipelined));
-                    let label =
-                        format!("{name}/{policy:?}/t{threads}/{layout:?} bulk-vs-pipelined");
-                    // Outputs, work, and comm are bit-identical always; at
-                    // one thread the charged work is conserved too, and
-                    // the pipelined timeline can only be shorter — the
-                    // overlap of frame arrivals with apply charges is the
-                    // modelled optimisation.
-                    assert_identical(
-                        &label,
-                        &pipe,
-                        &bulk,
-                        if threads == 1 {
-                            TimeMatch::Conserved
-                        } else {
-                            TimeMatch::Free
-                        },
-                    );
+                let mk = |exchange: Exchange| {
+                    EngineConfig::new(4, policy)
+                        .threads(threads)
+                        .cost(CostModel::cluster_a().scale_fixed_costs(1e-3))
+                        .exchange(exchange)
+                        .exchange_chunk(256)
+                };
+                let bulk = run_kernel(&graph, &props, &inst, &mk(Exchange::Bulk));
+                let pipe = run_kernel(&graph, &props, &inst, &mk(Exchange::Pipelined));
+                let label = format!("{name}/{policy:?}/t{threads} bulk-vs-pipelined");
+                // Outputs, work, and comm are bit-identical always; at
+                // one thread the charged work is conserved too, and
+                // the pipelined timeline can only be shorter — the
+                // overlap of frame arrivals with apply charges is the
+                // modelled optimisation.
+                assert_identical(
+                    &label,
+                    &pipe,
+                    &bulk,
                     if threads == 1 {
-                        assert!(
-                            pipe.1.time.virtual_secs <= bulk.1.time.virtual_secs * (1.0 + 1e-9),
-                            "{label}: pipelined makespan {} above bulk {}",
-                            pipe.1.time.virtual_secs,
-                            bulk.1.time.virtual_secs
-                        );
-                        // The update-arrival stall moves category (Send →
-                        // Exchange) and shrinks strictly: apply work now
-                        // fills the gaps between frame arrivals.
-                        let bulk_send = bulk.1.time.category(SpanCategory::Send);
-                        let pipe_exchange = pipe.1.time.category(SpanCategory::Exchange);
-                        assert_eq!(
-                            pipe.1.time.category(SpanCategory::Send),
-                            0.0,
-                            "{label}: pipelined runs have no bulk update waits"
-                        );
-                        assert!(
-                            pipe_exchange <= bulk_send * (1.0 + 1e-9),
-                            "{label}: exchange stall {pipe_exchange} \
-                             above bulk send stall {bulk_send}"
-                        );
-                        if pipe_exchange < bulk_send {
-                            any_strict = true;
-                        }
+                        TimeMatch::Conserved
+                    } else {
+                        TimeMatch::Free
+                    },
+                );
+                if threads == 1 {
+                    assert!(
+                        pipe.1.time.virtual_secs <= bulk.1.time.virtual_secs * (1.0 + 1e-9),
+                        "{label}: pipelined makespan {} above bulk {}",
+                        pipe.1.time.virtual_secs,
+                        bulk.1.time.virtual_secs
+                    );
+                    // The update-arrival stall moves category (Send →
+                    // Exchange) and shrinks strictly: apply work now
+                    // fills the gaps between frame arrivals.
+                    let bulk_send = bulk.1.time.category(SpanCategory::Send);
+                    let pipe_exchange = pipe.1.time.category(SpanCategory::Exchange);
+                    assert_eq!(
+                        pipe.1.time.category(SpanCategory::Send),
+                        0.0,
+                        "{label}: pipelined runs have no bulk update waits"
+                    );
+                    assert!(
+                        pipe_exchange <= bulk_send * (1.0 + 1e-9),
+                        "{label}: exchange stall {pipe_exchange} \
+                         above bulk send stall {bulk_send}"
+                    );
+                    if pipe_exchange < bulk_send {
+                        any_strict = true;
                     }
                 }
             }

@@ -253,8 +253,8 @@ fn compute_charge_is_critical_path_not_sum() {
     assert_eq!(st1.work, st4.work);
 
     let (m1, m4) = (st1.metrics(), st4.metrics());
-    // Compute-like charge = signal-side Compute plus the blocked Apply
-    // sweep (both feed `compute_cpu`).
+    // Compute-like charge = signal-side Compute plus the receive/apply
+    // phase's Apply charge (both feed `compute_cpu`).
     let charge = |m: &symplegraph::core::MetricsReport| {
         m.time(SpanCategory::Compute) + m.time(SpanCategory::Apply)
     };
