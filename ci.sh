@@ -100,12 +100,13 @@ step "scenario-matrix smoke (SNAP karate, all knobs)"
 # loader and the new kernels end to end.
 cargo run --offline -p symple-bench --bin experiments -- --matrix-smoke
 
-step "exchange-mode equivalence smoke (bulk vs pipelined)"
-# BFS / K-core / MIS on s27, 4 machines, under both exchange modes and
-# both transport backends; the study asserts work, comm, and the stall
-# ordering (exchange stall never above the bulk send stall) bit for
-# bit. Runs under --quick so every push enforces that the pipelined
-# default stays invisible to the computation.
+step "exchange framing equivalence smoke (one-frame vs framed)"
+# BFS / K-core / MIS on s27, 4 machines, with every payload shipped as
+# one frame (exchange_chunk = usize::MAX) and chunked at the default
+# frame size, on both transport backends; the study asserts work, comm,
+# and the stall ordering (framed exchange stall never above the
+# one-frame stall) bit for bit. Runs under --quick so every push
+# enforces that framing stays invisible to the computation.
 cargo run --offline -p symple-bench --bin experiments -- --pipeline-smoke
 
 step "executor equivalence smoke (interp vs bytecode, full engine)"

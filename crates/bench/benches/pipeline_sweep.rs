@@ -1,9 +1,9 @@
-//! Criterion sweep over the update-exchange pipeline: the same BFS and
-//! K-core runs under the monolithic bulk exchange and the chunked
-//! pipelined exchange at several frame sizes. This tracks the *raw CPU
-//! cost* of the framing path (slice, ship, reassemble, canonical-order
-//! fold) against the single-message baseline — the end-to-end overlap
-//! win lives in the modelled columns of `BENCH_pipeline.json`
+//! Criterion sweep over the update-exchange frame size: the same BFS and
+//! K-core runs with every payload shipped as one frame (the bulk case,
+//! `exchange_chunk(usize::MAX)`) and chunked at several frame sizes.
+//! This tracks the *raw CPU cost* of framing (slice, ship, reassemble,
+//! canonical-order fold) against the one-frame baseline — the end-to-end
+//! overlap win lives in the modelled columns of `BENCH_pipeline.json`
 //! (`experiments --pipeline-json`), which a wall-clock microbench on a
 //! shared host cannot measure deterministically.
 
@@ -12,22 +12,20 @@ mod common;
 use common::{bench_graph, fast_criterion};
 use criterion::{criterion_main, Criterion};
 use symple_algos::{bfs, kcore};
-use symple_core::{EngineConfig, Exchange, Policy};
+use symple_core::{EngineConfig, Policy};
 use symple_graph::Vid;
 
 fn bench(c: &mut Criterion) {
     let graph = bench_graph();
     let mut group = c.benchmark_group("pipeline_sweep");
-    let cases: [(&str, Exchange, usize); 4] = [
-        ("bulk", Exchange::Bulk, 16 * 1024),
-        ("pipelined/4KiB", Exchange::Pipelined, 4 * 1024),
-        ("pipelined/16KiB", Exchange::Pipelined, 16 * 1024),
-        ("pipelined/64KiB", Exchange::Pipelined, 64 * 1024),
+    let cases: [(&str, usize); 4] = [
+        ("bulk", usize::MAX),
+        ("pipelined/4KiB", 4 * 1024),
+        ("pipelined/16KiB", 16 * 1024),
+        ("pipelined/64KiB", 64 * 1024),
     ];
-    for (name, exchange, chunk) in cases {
-        let cfg = EngineConfig::new(4, Policy::symple())
-            .exchange(exchange)
-            .exchange_chunk(chunk);
+    for (name, chunk) in cases {
+        let cfg = EngineConfig::new(4, Policy::symple()).exchange_chunk(chunk);
         group.bench_function(format!("bfs/{name}"), |b| {
             b.iter(|| bfs(&graph, &cfg, Vid::new(1)))
         });

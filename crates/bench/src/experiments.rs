@@ -10,8 +10,7 @@ use crate::datasets::dataset;
 use crate::fmt::{geomean, secs, speedup, table};
 use symple_algos::{bfs, cc, kcore, kmeans, mis, pagerank, sampling, sssp};
 use symple_core::{
-    Backend, EngineConfig, Exchange, FaultPlan, Policy, ReliableStats, RunStats, TraceLevel,
-    WireCodec,
+    Backend, EngineConfig, FaultPlan, Policy, ReliableStats, RunStats, TraceLevel, WireCodec,
 };
 use symple_graph::{Graph, GraphStats, Vid};
 use symple_net::{CommKind, CostModel, SpanCategory, WireFormat, COMM_KINDS};
@@ -708,8 +707,9 @@ pub fn transport_report() -> Report {
 }
 
 /// One (workload, machine-count) cell of the pipelined-exchange study:
-/// the same run under the bulk end-of-step exchange and the chunked
-/// pipelined exchange. A point only exists if the two modes were
+/// the same run with every payload shipped as one frame (bulk,
+/// `exchange_chunk(usize::MAX)`) and chunked at the default frame size
+/// (pipelined). A point only exists if the two runs were
 /// bit-identical in everything logical (asserted inside
 /// [`pipeline_study`]); the modelled columns carry the overlap signal,
 /// the wall columns are measured on this host.
@@ -719,13 +719,13 @@ pub struct PipelinePoint {
     pub algo: &'static str,
     /// Simulated machine count.
     pub machines: usize,
-    /// Modelled virtual seconds under `Exchange::Bulk`.
+    /// Modelled virtual seconds of the one-frame (bulk) run.
     pub bulk_modelled_secs: f64,
-    /// Modelled virtual seconds under `Exchange::Pipelined` — never above
-    /// the bulk column (asserted).
+    /// Modelled virtual seconds of the chunked (pipelined) run — never
+    /// above the bulk column (asserted).
     pub pipe_modelled_secs: f64,
     /// Modelled seconds the bulk run spent stalled waiting for whole
-    /// update messages (`SpanCategory::Send`).
+    /// update messages (its one-frame streams' `SpanCategory::Exchange`).
     pub bulk_send_stall_secs: f64,
     /// Modelled seconds the pipelined run spent stalled waiting for
     /// update *frames* (`SpanCategory::Exchange`) — never above the bulk
@@ -765,9 +765,9 @@ impl PipelinePoint {
     }
 }
 
-/// Measures every transport-study workload under both exchange modes on
+/// Measures every transport-study workload one-frame and chunked on
 /// dataset `name` at each machine count, asserting along the way that
-/// the exchange mode is invisible to the computation: identical work
+/// the frame size is invisible to the computation: identical work
 /// counters, identical logical byte/message accounting, pipelined
 /// modelled time and exchange stall never above their bulk
 /// counterparts. Each (mode, machine-count, workload) cell also runs on
@@ -779,17 +779,17 @@ pub fn pipeline_study(name: &str, machine_counts: &[usize], wall_reps: u32) -> V
     let mut points = Vec::new();
     for &machines in machine_counts {
         for (algo_name, algo) in TRANSPORT_ALGOS {
-            let config =
-                |exchange: Exchange| cfg(machines, Policy::symple(), cost).exchange(exchange);
-            let bulk = run_algo_once(algo, g, &config(Exchange::Bulk));
-            let pipe = run_algo_once(algo, g, &config(Exchange::Pipelined));
+            let base = cfg(machines, Policy::symple(), cost);
+            let config = |chunk: usize| base.clone().exchange_chunk(chunk);
+            let bulk = run_algo_once(algo, g, &config(usize::MAX));
+            let pipe = run_algo_once(algo, g, &config(base.exchange_chunk));
             assert_eq!(
                 bulk.work, pipe.work,
-                "pipeline {algo_name}/{machines}m: work counters diverged across exchange modes"
+                "pipeline {algo_name}/{machines}m: work counters diverged across frame sizes"
             );
             assert_eq!(
                 bulk.comm, pipe.comm,
-                "pipeline {algo_name}/{machines}m: CommStats diverged across exchange modes"
+                "pipeline {algo_name}/{machines}m: CommStats diverged across frame sizes"
             );
             assert!(
                 pipe.virtual_time() <= bulk.virtual_time() * (1.0 + 1e-9),
@@ -797,39 +797,39 @@ pub fn pipeline_study(name: &str, machine_counts: &[usize], wall_reps: u32) -> V
                 pipe.virtual_time(),
                 bulk.virtual_time()
             );
-            let bulk_stall = bulk.time.category(SpanCategory::Send);
+            let bulk_stall = bulk.time.category(SpanCategory::Exchange);
             let pipe_stall = pipe.time.category(SpanCategory::Exchange);
             assert!(
                 pipe_stall <= bulk_stall * (1.0 + 1e-9),
                 "pipeline {algo_name}/{machines}m: exchange stall {pipe_stall} above bulk \
                  send stall {bulk_stall}"
             );
-            let wall = |exchange: Exchange, sim: &RunStats| -> f64 {
+            let wall = |sim: &RunStats, chunk: usize| -> f64 {
                 let mut best = f64::INFINITY;
                 for _ in 0..wall_reps.max(1) {
-                    let st = run_algo_once(algo, g, &config(exchange).backend(Backend::Thread));
+                    let st = run_algo_once(algo, g, &config(chunk).backend(Backend::Thread));
                     assert_eq!(
                         st.work, sim.work,
-                        "pipeline {algo_name}/{machines}m/{exchange:?}: work counters \
+                        "pipeline {algo_name}/{machines}m/chunk {chunk}: work counters \
                          diverged across backends"
                     );
                     assert_eq!(
                         st.comm, sim.comm,
-                        "pipeline {algo_name}/{machines}m/{exchange:?}: CommStats diverged \
+                        "pipeline {algo_name}/{machines}m/chunk {chunk}: CommStats diverged \
                          across backends"
                     );
                     assert_eq!(
                         st.virtual_time(),
                         sim.virtual_time(),
-                        "pipeline {algo_name}/{machines}m/{exchange:?}: virtual time \
+                        "pipeline {algo_name}/{machines}m/chunk {chunk}: virtual time \
                          diverged across backends"
                     );
                     best = best.min(st.max_node_wall().as_secs_f64());
                 }
                 best
             };
-            let bulk_wall = wall(Exchange::Bulk, &bulk);
-            let pipe_wall = wall(Exchange::Pipelined, &pipe);
+            let bulk_wall = wall(&bulk, usize::MAX);
+            let pipe_wall = wall(&pipe, base.exchange_chunk);
             points.push(PipelinePoint {
                 algo: algo_name,
                 machines,
@@ -853,8 +853,8 @@ pub fn pipeline_json(name: &str, points: &[PipelinePoint]) -> String {
     w.key("bench").string("pipelined_exchange");
     w.key("graph").string(name);
     w.key("note").string(
-        "bulk = monolithic end-of-step exchange, pipe = chunked pipelined \
-         exchange (Exchange::Pipelined, the default); outputs, work and \
+        "bulk = every payload one frame (exchange_chunk = usize::MAX), \
+         pipe = chunked at the default exchange_chunk; outputs, work and \
          comm counters are bit-identical across modes (asserted). The \
          modelled columns and overlap_ratio (exchange stall / bulk send \
          stall, lower is better) are deterministic virtual-clock \
@@ -989,15 +989,15 @@ pub fn pipeline_check(baseline_json: &str) -> Result<String, String> {
 
 /// The `--pipeline-smoke` entry point: runs the pipelined-exchange study
 /// on the small s27 stand-in at 4 machines with one thread-backend
-/// repetition per mode. Every gate lives inside [`pipeline_study`]
-/// itself — bit-identical work and comm counters across exchange modes
-/// and backends, pipelined modelled time and exchange stall never above
-/// their bulk counterparts — so reaching the summary string *is* the
+/// repetition per frame size. Every gate lives inside [`pipeline_study`]
+/// itself — bit-identical work and comm counters across frame sizes and
+/// backends, framed modelled time and exchange stall never above their
+/// one-frame counterparts — so reaching the summary string *is* the
 /// pass.
 pub fn pipeline_smoke() -> String {
     let points = pipeline_study("s27", &[4], 1);
     let mut lines = vec![format!(
-        "pipeline smoke: bulk and pipelined exchanges bit-identical on s27, \
+        "pipeline smoke: one-frame and framed exchanges bit-identical on s27, \
          4 machines, both backends ({} workloads)",
         points.len()
     )];

@@ -5,7 +5,8 @@
 //! and Gemini policies with the default knobs (flat codec, pipelined
 //! exchange, one thread, no faults); each SympleGraph base cell then
 //! fans out into four *variant* cells flipping exactly one knob
-//! (adaptive codec, bulk exchange, two apply threads, seeded chaos
+//! (adaptive codec, bulk exchange — every payload one frame,
+//! `exchange_chunk(usize::MAX)` — two apply threads, seeded chaos
 //! faults). While the sweep runs it asserts the engine's determinism
 //! story **inline**:
 //!
@@ -38,7 +39,7 @@ use crate::experiments::{
 };
 use crate::fmt::table;
 use symple_algos::{bfs, cc, kcore, pagerank, sssp};
-use symple_core::{DepWidth, EngineConfig, Exchange, FaultPlan, Policy, RunStats};
+use symple_core::{DepWidth, EngineConfig, FaultPlan, Policy, RunStats};
 use symple_graph::{fnv1a64, Graph, Vid};
 use symple_net::{CostModel, WireCodec};
 
@@ -77,7 +78,8 @@ pub struct MatrixCell {
     pub policy: &'static str,
     /// Wire codec (`flat` or `adaptive`).
     pub codec: &'static str,
-    /// Exchange mode (`pipelined` or `bulk`).
+    /// Exchange framing: `pipelined` (the default `exchange_chunk`) or
+    /// `bulk` (`exchange_chunk(usize::MAX)`, one frame per payload).
     pub exchange: &'static str,
     /// Apply threads.
     pub threads: usize,
@@ -300,7 +302,7 @@ pub fn matrix_study(graphs: &[&'static str], machines: usize) -> Vec<MatrixCell>
                     "bulk",
                     1,
                     false,
-                    cfg(machines, Policy::symple(), cost).exchange(Exchange::Bulk),
+                    cfg(machines, Policy::symple(), cost).exchange_chunk(usize::MAX),
                 ),
                 (
                     "flat",

@@ -14,7 +14,7 @@ pub enum ConfigError {
     ZeroThreads,
     /// `chunk_size` was 0 — chunks must contain at least one entry.
     ZeroChunkSize,
-    /// `exchange_chunk` was 0 — pipelined frames must carry at least one
+    /// `exchange_chunk` was 0 — exchange frames must carry at least one
     /// byte.
     ZeroExchangeChunk,
     /// The fault plan's rates were not probabilities; carries the
@@ -141,53 +141,6 @@ impl std::str::FromStr for UdfExec {
             "interp" => Ok(UdfExec::Interp),
             "bytecode" => Ok(UdfExec::Bytecode),
             other => Err(format!("unknown udf executor `{other}` (interp|bytecode)")),
-        }
-    }
-}
-
-/// How a superstep's update and dependency payloads cross the wire.
-///
-/// Outputs, `WorkStats`, and `CommStats` are bit-identical between the
-/// two modes (the frame protocol is a physical detail below the logical
-/// message accounting); the virtual clock and the measured wall time
-/// differ — pipelining is the optimisation. `Bulk` remains the reference
-/// the pipelined path is validated against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Exchange {
-    /// One monolithic message per (source, step): the receiver blocks for
-    /// the whole payload, then decodes it (the seed behaviour).
-    Bulk,
-    /// Fixed-size frames with staggered departures: receivers drain and
-    /// decode completed streams while waiting for the canonically-next
-    /// one, and the model charges the residual per-frame stalls to
-    /// `SpanCategory::Exchange` interleaved with the decode work.
-    #[default]
-    Pipelined,
-}
-
-impl Exchange {
-    /// Stable lower-case name (used in bench reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            Exchange::Bulk => "bulk",
-            Exchange::Pipelined => "pipelined",
-        }
-    }
-}
-
-impl fmt::Display for Exchange {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Exchange {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "bulk" => Ok(Exchange::Bulk),
-            "pipelined" => Ok(Exchange::Pipelined),
-            other => Err(format!("unknown exchange mode `{other}` (bulk|pipelined)")),
         }
     }
 }
@@ -356,13 +309,13 @@ pub struct EngineConfig {
     /// outputs, `WorkStats`, `CommStats`, and virtual time either way —
     /// only host wall time changes.
     pub udf_exec: UdfExec,
-    /// How update/dependency payloads cross the wire: `Pipelined`
-    /// (fixed-size frames, overlapped with decode — the default) or
-    /// `Bulk` (one monolithic message per source and step).
-    pub exchange: Exchange,
-    /// Frame size in bytes for the pipelined exchange (ignored by
-    /// `Bulk`). Payloads at most this size ship as a single frame, making
-    /// the two modes physically identical for small messages.
+    /// Frame size in bytes of the update/dependency exchange. Every
+    /// payload ships as fixed-size frames that receivers drain and decode
+    /// while waiting for the canonically-next stream. A payload shorter
+    /// than this ships as a single frame; one of exactly this size gets an
+    /// extra empty terminator frame. `usize::MAX` is the one-frame (bulk)
+    /// setting: every payload ships whole, as one message per source and
+    /// step.
     pub exchange_chunk: usize,
     /// Wire sizing for carried dependency values: `Certified` (narrowed
     /// to the abstract-interpretation certificate's proven widths, the
@@ -395,7 +348,6 @@ impl EngineConfig {
             retry: RetryConfig::default(),
             backend: Backend::Sim,
             udf_exec: UdfExec::Bytecode,
-            exchange: Exchange::Pipelined,
             exchange_chunk: 16 * 1024,
             dep_width: DepWidth::Certified,
             early_exit: EarlyExit::Certified,
@@ -468,13 +420,8 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the exchange mode (bulk vs pipelined).
-    pub fn exchange(mut self, exchange: Exchange) -> Self {
-        self.exchange = exchange;
-        self
-    }
-
-    /// Sets the pipelined exchange's frame size in bytes.
+    /// Sets the exchange frame size in bytes (`usize::MAX`: one frame per
+    /// payload).
     pub fn exchange_chunk(mut self, bytes: usize) -> Self {
         self.exchange_chunk = bytes;
         self
@@ -490,11 +437,6 @@ impl EngineConfig {
     pub fn early_exit(mut self, mode: EarlyExit) -> Self {
         self.early_exit = mode;
         self
-    }
-
-    /// Does this run frame its update/dependency payloads?
-    pub fn pipelined(&self) -> bool {
-        self.exchange == Exchange::Pipelined
     }
 
     /// Does this run adaptively re-encode remote messages?
@@ -706,24 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn exchange_defaults_and_knobs() {
-        let cfg = EngineConfig::new(4, Policy::symple());
-        assert_eq!(cfg.exchange, Exchange::Pipelined);
-        assert_eq!(cfg.exchange_chunk, 16 * 1024);
-        assert!(cfg.pipelined());
-        let cfg = cfg.exchange(Exchange::Bulk).exchange_chunk(64);
-        assert_eq!(cfg.exchange, Exchange::Bulk);
-        assert_eq!(cfg.exchange_chunk, 64);
-        assert!(!cfg.pipelined());
-        assert_eq!(cfg.validate(), Ok(()));
-        assert_eq!("pipelined".parse::<Exchange>(), Ok(Exchange::Pipelined));
-        assert_eq!("bulk".parse::<Exchange>(), Ok(Exchange::Bulk));
-        assert!("fancy".parse::<Exchange>().is_err());
-        assert_eq!(Exchange::Bulk.to_string(), "bulk");
-        assert_eq!(Exchange::default(), Exchange::Pipelined);
-    }
-
-    #[test]
     fn certificate_knobs_default_to_certified() {
         let cfg = EngineConfig::new(4, Policy::symple());
         assert_eq!(cfg.dep_width, DepWidth::Certified);
@@ -748,10 +672,11 @@ mod tests {
 
     #[test]
     fn zero_exchange_chunk_invalid() {
-        let err = EngineConfig::new(2, Policy::Gemini)
-            .exchange_chunk(0)
-            .validate()
-            .unwrap_err();
+        // Default 16 KiB; `usize::MAX` (one frame per payload) is valid.
+        let cfg = EngineConfig::new(2, Policy::Gemini);
+        assert_eq!(cfg.exchange_chunk, 16 * 1024);
+        assert_eq!(cfg.clone().exchange_chunk(usize::MAX).validate(), Ok(()));
+        let err = cfg.exchange_chunk(0).validate().unwrap_err();
         assert_eq!(err, ConfigError::ZeroExchangeChunk);
         assert!(err.to_string().contains("exchange_chunk"));
     }

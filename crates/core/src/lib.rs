@@ -47,7 +47,7 @@ mod stats;
 mod worker;
 
 pub use circulant::{dst_partition, processing_order, src_machine};
-pub use config::{ConfigError, DepWidth, EarlyExit, EngineConfig, Exchange, Policy, UdfExec};
+pub use config::{ConfigError, DepWidth, EarlyExit, EngineConfig, Policy, UdfExec};
 pub use dep::{BitDep, CountDep, DepLayout, DepState, WeightDep};
 pub use dist_graph::{Bucket, BucketPart, LocalGraph};
 pub use driver::{run_spmd, DistResult};

@@ -43,14 +43,14 @@ use symple_net::{CodecStats, CommKind, NodeCtx, SpanCategory, Tag, TagKind, Wire
 /// trace step is the one the apply charges are attributed to.
 type Source = (usize, u32, Tag);
 
-/// One in-flight update stream of the pipelined exchange: frames are
+/// One in-flight update stream of the framed exchange: frames are
 /// absorbed (and, once the stream completes, decoded) whenever this
 /// machine would otherwise be blocked, then the stream is *consumed* —
 /// charged on the virtual clock and folded into master state — in the
 /// canonical circulant order. Gathering and decoding are physical overlap
 /// only; every modelled cost is replayed at consumption, which is what
-/// keeps pipelined runs deterministic and bit-identical in outputs to the
-/// bulk exchange.
+/// keeps runs deterministic and bit-identical in outputs at any
+/// `exchange_chunk`, including the one-frame `usize::MAX`.
 struct PipeStream<U> {
     src: usize,
     tag: Tag,
@@ -65,8 +65,8 @@ struct PipeStream<U> {
 }
 
 /// Splits `records` apply records into `chunk`-record cost lanes, so a
-/// sharded charge of a frame's share gets the same lane treatment a bulk
-/// decode of equal size would.
+/// sharded charge of a frame's share gets the same lane treatment a
+/// whole-buffer decode of equal size would.
 fn chunked_costs(records: u64, chunk: usize) -> Vec<(u64, u64)> {
     let chunk = chunk.max(1) as u64;
     let mut costs = Vec::with_capacity((records / chunk + 1) as usize);
@@ -93,14 +93,14 @@ pub struct Worker<'a> {
     placement_wall: Duration,
     stats: WorkStats,
     iter_seq: u64,
-    /// One scratch encode buffer per peer rank. `send` moves its payload
-    /// into the channel, so the pool is replenished with decoded receive
-    /// buffers — allocations circulate between machines instead of being
-    /// made fresh every step. Capacity only; never observable on the wire.
+    /// One scratch encode buffer per peer rank. Frames copy out of an
+    /// encoded payload, so the buffer is recycled here after shipping,
+    /// alongside assembled receive buffers — steady-state encoding
+    /// allocates nothing. Capacity only; never observable on the wire.
     enc_pool: Vec<Vec<u8>>,
     /// One frame-assembly buffer per peer rank, reused across iterations
-    /// by the pipelined exchange so steady-state gathering allocates
-    /// nothing. Capacity only; never observable on the wire.
+    /// so steady-state gathering allocates nothing. Capacity only; never
+    /// observable on the wire.
     dec_pool: Vec<Vec<u8>>,
 }
 
@@ -284,26 +284,22 @@ impl<'a> Worker<'a> {
         self.ship(dst, tag, CommKind::Dependency, payload);
     }
 
-    /// Ships an encoded payload to `dst`: whole under the bulk exchange
-    /// (the buffer moves into the channel), in `exchange_chunk`-byte
-    /// frames under the pipelined exchange — frames copy out of the
-    /// buffer, so it is recycled locally instead.
+    /// Ships an encoded payload to `dst` in `exchange_chunk`-byte frames.
+    /// Frames copy out of the buffer, so it is recycled locally.
     fn ship(&mut self, dst: usize, tag: Tag, kind: CommKind, payload: Vec<u8>) {
-        if self.cfg.pipelined() {
-            self.ctx
-                .send_framed(dst, tag, kind, &payload, self.cfg.exchange_chunk);
-            self.recycle_buf(dst, payload);
-        } else {
-            self.ctx.send(dst, tag, kind, payload);
-        }
+        self.ctx
+            .send_framed(dst, tag, kind, &payload, self.cfg.exchange_chunk);
+        self.recycle_buf(dst, payload);
     }
 
-    /// Receives the dependency message from `src` and decodes it into
-    /// `dep` over `range`. Under the pipelined exchange the message
-    /// arrives framed and update-stream gather/decode work fills the
-    /// waits (see [`Worker::gather_dep_frames`]). Both sides dispatch on
-    /// the same config, so the decoder always matches what the peer
-    /// encoded.
+    /// Receives the framed dependency message from `src` and decodes it
+    /// into `dep` over `range`, doing update-stream gather and decode work
+    /// whenever the next dependency frame has not landed yet. Arrival
+    /// waits are charged per frame as `DepWait`, exactly like a blocking
+    /// receive's single wait of the whole payload (the final clock is
+    /// identical: both end at the last byte's modelled arrival). Both
+    /// sides dispatch on the same config, so the decoder always matches
+    /// what the peer encoded.
     fn recv_dep<D: DepState, U: Wire + Copy + Send>(
         &mut self,
         src: usize,
@@ -312,11 +308,26 @@ impl<'a> Worker<'a> {
         range: Range<usize>,
         streams: &mut [PipeStream<U>],
     ) {
-        let buf = if self.cfg.pipelined() {
-            self.gather_dep_frames(src, tag, streams)
-        } else {
-            self.ctx.recv(src, tag)
-        };
+        let chunk = self.cfg.exchange_chunk;
+        let mut buf = self.take_buf(src);
+        for frame in 0u32.. {
+            let ftag = tag.with_frame(frame);
+            let deadline = Instant::now() + self.ctx.recv_deadline();
+            let (frag, arrival) = loop {
+                self.sweep_streams(streams);
+                if let Some(got) = self.ctx.try_take_frame(src, ftag) {
+                    break got;
+                }
+                if !self.make_progress(streams, deadline) {
+                    self.ctx.stream_timeout_panic(src, ftag);
+                }
+            };
+            self.ctx.wait_until(arrival, SpanCategory::DepWait);
+            buf.extend_from_slice(&frag);
+            if frag.len() < chunk {
+                break;
+            }
+        }
         if self.cfg.adaptive_wire() {
             dep.decode_range_coded(range, &buf);
         } else {
@@ -341,20 +352,7 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Receives an update message from `src` and returns the flat record
-    /// stream it carries, undoing the adaptive framing when configured.
-    fn recv_updates(&mut self, src: usize, tag: Tag, psize: usize) -> Vec<u8> {
-        let buf = self.ctx.recv(src, tag);
-        if !self.cfg.adaptive_wire() {
-            return buf;
-        }
-        let mut flat = self.take_buf(src);
-        symple_net::decode_updates(&buf, psize, &mut flat);
-        self.recycle_buf(src, buf);
-        flat
-    }
-
-    // === Pipelined exchange: gather / decode / charge ===
+    // === Framed exchange: gather / decode / charge ===
     //
     // Division of labour: `sweep_streams` and `decode_stream` do *physical*
     // work at whatever wall-clock moment is convenient (while this machine
@@ -365,11 +363,8 @@ impl<'a> Worker<'a> {
     // bit-deterministic.
 
     /// Fresh gather state for the remote `sources` (listed in canonical
-    /// consumption order); empty under the bulk exchange.
+    /// consumption order).
     fn pipe_streams<U>(&mut self, sources: &[Source]) -> Vec<PipeStream<U>> {
-        if !self.cfg.pipelined() {
-            return Vec::new();
-        }
         let rank = self.ctx.rank();
         sources
             .iter()
@@ -428,16 +423,24 @@ impl<'a> Worker<'a> {
         st.decoded = Some(decoded);
     }
 
-    /// Decodes the first stream that has fully arrived but not yet been
-    /// decoded, if any. The unit of useful work a blocked wait loop can do.
-    fn decode_one_ready<U: Wire + Copy + Send>(&mut self, streams: &mut [PipeStream<U>]) -> bool {
-        for st in streams.iter_mut() {
-            if st.complete && st.decoded.is_none() {
-                self.decode_stream(st);
-                return true;
-            }
+    /// One step of a blocked wait loop: decodes the first stream that has
+    /// fully arrived but not yet been decoded — the unit of useful work —
+    /// or, with none ready, blocks for the next envelope. Returns `false`
+    /// once `deadline` passes with nothing arrived.
+    fn make_progress<U: Wire + Copy + Send>(
+        &mut self,
+        streams: &mut [PipeStream<U>],
+        deadline: Instant,
+    ) -> bool {
+        if let Some(st) = streams
+            .iter_mut()
+            .find(|st| st.complete && st.decoded.is_none())
+        {
+            self.decode_stream(st);
+            return true;
         }
-        false
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        self.ctx.drain_one(remaining)
     }
 
     /// Blocks until `streams[target]` has fully arrived, decoding other
@@ -457,56 +460,12 @@ impl<'a> Worker<'a> {
             if streams[target].complete {
                 return;
             }
-            if self.decode_one_ready(streams) {
-                continue;
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if !self.ctx.drain_one(remaining) {
+            if !self.make_progress(streams, deadline) {
                 let st = &streams[target];
                 self.ctx
                     .stream_timeout_panic(st.src, st.tag.with_frame(st.next_frame));
             }
         }
-    }
-
-    /// Assembles a framed dependency message, doing update-stream gather
-    /// and decode work whenever the next dependency frame has not landed
-    /// yet. Arrival waits are charged per frame as `DepWait`, exactly like
-    /// the bulk receive's single wait (the final clock is identical: both
-    /// end at the last byte's modelled arrival).
-    fn gather_dep_frames<U: Wire + Copy + Send>(
-        &mut self,
-        src: usize,
-        tag: Tag,
-        streams: &mut [PipeStream<U>],
-    ) -> Vec<u8> {
-        let chunk = self.cfg.exchange_chunk;
-        let mut buf = self.take_buf(src);
-        let mut frame = 0u32;
-        loop {
-            let ftag = tag.with_frame(frame);
-            let deadline = Instant::now() + self.ctx.recv_deadline();
-            let (frag, arrival) = loop {
-                self.sweep_streams(streams);
-                if let Some(got) = self.ctx.try_take_frame(src, ftag) {
-                    break got;
-                }
-                if self.decode_one_ready(streams) {
-                    continue;
-                }
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if !self.ctx.drain_one(remaining) {
-                    self.ctx.stream_timeout_panic(src, ftag);
-                }
-            };
-            self.ctx.wait_until(arrival, SpanCategory::DepWait);
-            buf.extend_from_slice(&frag);
-            if frag.len() < chunk {
-                break;
-            }
-            frame += 1;
-        }
-        buf
     }
 
     /// Replays a consumed stream's modelled schedule in canonical order:
@@ -574,18 +533,6 @@ impl<'a> Worker<'a> {
             .map(|bytes| T::read(bytes))
             .reduce(op)
             .expect("allgather returns one value per machine")
-    }
-
-    /// Sums `v` across machines. Collective.
-    #[deprecated(since = "0.2.0", note = "use allreduce(v, |a, b| a + b)")]
-    pub fn allreduce_sum(&mut self, v: u64) -> u64 {
-        self.allreduce(v, |a, b| a + b)
-    }
-
-    /// ORs `v` across machines. Collective.
-    #[deprecated(since = "0.2.0", note = "use allreduce(v, |a, b| a | b)")]
-    pub fn allreduce_or(&mut self, v: bool) -> bool {
-        self.allreduce(v, |a, b| a | b)
     }
 
     /// Synchronises a full-length bitmap: every machine's master slice
@@ -728,10 +675,9 @@ impl<'a> Worker<'a> {
                 (m, s as u32, tag)
             })
             .collect();
-        // Pipelined exchange: gather state is set up front so frames can
-        // be absorbed (and completed streams decoded) while the scatter
-        // phase is still running or blocked on dependencies.
-        let pipelined = self.cfg.pipelined();
+        // Gather state is set up front so frames can be absorbed (and
+        // completed streams decoded) while the scatter phase is still
+        // running or blocked on dependencies.
         let mut streams = self.pipe_streams::<P::Update>(&sources);
 
         for s in 0..p {
@@ -818,11 +764,9 @@ impl<'a> Worker<'a> {
                 let tag = Tag::new(TagKind::Update, iter * p as u64 + s as u64, 0);
                 self.send_updates(j, tag, P::Update::SIZE, step.bytes);
             }
-            if pipelined {
-                // Opportunistically absorb frames that landed while this
-                // step's compute ran — pure physical overlap.
-                self.sweep_streams(&mut streams);
-            }
+            // Opportunistically absorb frames that landed while this
+            // step's compute ran — pure physical overlap.
+            self.sweep_streams(&mut streams);
         }
 
         self.receive_apply(iter, &sources, local_updates, &mut streams, apply)
@@ -832,12 +776,12 @@ impl<'a> Worker<'a> {
     /// [`Worker::push`]: consumes one update buffer per source of
     /// `sources`, in that (canonical) order, and applies each buffer's
     /// updates on arrival. The local buffer is decoded in place; a remote
-    /// one is completed from its pipelined stream (whose modelled
-    /// schedule [`Worker::charge_stream`] replays) or received whole under
-    /// the bulk exchange. Every source's records are charged as
-    /// [`SpanCategory::Apply`] under its trace step. Ends the phase with
-    /// the Galois broadcast of every applied value, when that policy is
-    /// in effect. Returns the number of local master activations.
+    /// one is completed from its stream (whose modelled schedule
+    /// [`Worker::charge_stream`] replays). Every source's records are
+    /// charged as [`SpanCategory::Apply`] under its trace step. Ends the
+    /// phase with the Galois broadcast of every applied value, when that
+    /// policy is in effect. Returns the number of local master
+    /// activations.
     fn receive_apply<U: Wire + Copy + Send>(
         &mut self,
         iter: u64,
@@ -847,29 +791,24 @@ impl<'a> Worker<'a> {
         apply: &mut dyn FnMut(Vid, U) -> bool,
     ) -> u64 {
         let rank = self.ctx.rank();
-        let pipelined = self.cfg.pipelined();
         let galois = matches!(self.cfg.policy, Policy::Galois);
         let pc = self.par_cfg();
         let mut activated = 0u64;
         let mut applied = 0u64;
         let mut feedback: Vec<u8> = Vec::new();
         let mut si = 0usize;
-        for &(m, step, tag) in sources {
+        for &(m, step, _) in sources {
             self.ctx.set_trace_scope(iter as u32, step, 0);
-            let pairs = if m == rank || !pipelined {
-                let buf = if m == rank {
-                    std::mem::take(&mut local)
-                } else {
-                    self.recv_updates(m, tag, U::SIZE)
-                };
+            let pairs = if m == rank {
+                let buf = std::mem::take(&mut local);
                 let (pairs, costs) = par::decode_pass::<U>(&buf, pc);
                 self.ctx.apply_sharded(&costs, pc.threads);
                 self.recycle_buf(m, buf);
                 pairs
             } else {
-                // Pipelined: the stream may already be gathered and even
-                // decoded; block only for what has not physically arrived,
-                // then replay its modelled schedule in canonical order.
+                // The stream may already be gathered and even decoded;
+                // block only for what has not physically arrived, then
+                // replay its modelled schedule in canonical order.
                 self.complete_stream(streams, si);
                 let st = &mut streams[si];
                 si += 1;
@@ -969,18 +908,15 @@ impl<'a> Worker<'a> {
         let tag = Tag::new(TagKind::Update, iter * p as u64, 0);
         // Push consumes sources in rank order, all attributed to step 0.
         let sources: Vec<Source> = (0..p).map(|m| (m, 0, tag)).collect();
-        // Pipelined exchange: gather state up front, swept between sends,
-        // so early senders' frames are absorbed while later outboxes are
-        // still being shipped.
-        let pipelined = self.cfg.pipelined();
+        // Gather state up front, swept between sends, so early senders'
+        // frames are absorbed while later outboxes are still being
+        // shipped.
         let mut streams = self.pipe_streams::<P::Update>(&sources);
         for (m, outbox) in outboxes.iter_mut().enumerate() {
             if m != rank {
                 let payload = std::mem::take(outbox);
                 self.send_updates(m, tag, P::Update::SIZE, payload);
-                if pipelined {
-                    self.sweep_streams(&mut streams);
-                }
+                self.sweep_streams(&mut streams);
             }
         }
 

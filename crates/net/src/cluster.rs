@@ -307,22 +307,28 @@ impl NodeCtx {
     ) -> Result<(), NetError> {
         assert!(dst < self.world, "destination rank {dst} out of range");
         assert_ne!(dst, self.rank, "self-send is a protocol error");
-        // Empty payloads are protocol placeholders (the receiver still
-        // blocks on the tag): they ship zero bytes and are charged zero
-        // header cost, and they do not count as traffic. Either way the
-        // logical message is accounted exactly once, here — the reliable
-        // layer below only ever adds to the separate retry counters, so
-        // byte/message accounting matches the fault-free run bit for bit.
-        if !payload.is_empty() {
+        self.account_send(kind, payload.len());
+        self.dispatch(dst, tag, payload, 0.0)
+    }
+
+    /// Charges and accounts one logical message of `bytes` bytes: the
+    /// serialize overhead on the clock, one CommStats/trace record. Empty
+    /// payloads are protocol placeholders (the receiver still blocks on
+    /// the tag): they ship zero bytes and are charged zero header cost,
+    /// and they do not count as traffic. Either way the logical message is
+    /// accounted exactly once, here — the reliable layer below only ever
+    /// adds to the separate retry counters, so byte/message accounting
+    /// matches the fault-free run bit for bit.
+    fn account_send(&mut self, kind: CommKind, bytes: usize) {
+        if bytes > 0 {
             let start = self.clock;
-            self.clock += self.cost.send_overhead(payload.len() as u64);
+            self.clock += self.cost.send_overhead(bytes as u64);
             self.trace
                 .record_span(SpanCategory::Serialize, start, self.clock);
-            self.stats.record(kind, payload.len() as u64);
+            self.stats.record(kind, bytes as u64);
             self.trace
-                .record_bytes(kind.byte_category(), payload.len() as u64, 1);
+                .record_bytes(kind.byte_category(), bytes as u64, 1);
         }
-        self.dispatch(dst, tag, payload, 0.0)
     }
 
     /// Puts one already-accounted payload on the wire: the physical half
@@ -733,21 +739,8 @@ impl NodeCtx {
         assert!(chunk > 0, "exchange chunk must be at least 1 byte");
         assert!(dst < self.world, "destination rank {dst} out of range");
         assert_ne!(dst, self.rank, "self-send is a protocol error");
-        if !payload.is_empty() {
-            let start = self.clock;
-            self.clock += self.cost.send_overhead(payload.len() as u64);
-            self.trace
-                .record_span(SpanCategory::Serialize, start, self.clock);
-            self.stats.record(kind, payload.len() as u64);
-            self.trace
-                .record_bytes(kind.byte_category(), payload.len() as u64, 1);
-        }
+        self.account_send(kind, payload.len());
         let total = payload.len();
-        if total == 0 {
-            // A single empty frame: the same placeholder the bulk path
-            // ships, and already short, so it terminates the stream.
-            return self.dispatch(dst, tag.with_frame(0), Arc::new(Vec::new()), 0.0);
-        }
         let per_byte = self.cost.per_byte_sec;
         let mut frame = 0u32;
         let mut pos = 0usize;
@@ -768,9 +761,10 @@ impl NodeCtx {
             frame += 1;
         }
         if total.is_multiple_of(chunk) {
-            // Evenly divisible payload: terminate with an empty frame. It
-            // departs behind the last data byte and arrives no later than
-            // the final data frame (zero latency for zero bytes).
+            // Evenly divisible payload (an empty one included): terminate
+            // with an empty frame. It departs behind the last data byte
+            // and arrives no later than the final data frame (zero latency
+            // for zero bytes).
             self.dispatch(
                 dst,
                 tag.with_frame(frame),
@@ -853,47 +847,6 @@ impl NodeCtx {
             let start = self.clock;
             self.clock = arrival;
             self.trace.record_span(category, start, self.clock);
-        }
-    }
-
-    /// Blocking framed receive: assembles the whole (src, tag) stream
-    /// into `out`, charging each frame's arrival wait to the tag's usual
-    /// wait category as it lands. In a fault-free run the final clock
-    /// equals the bulk [`NodeCtx::recv`] of the same payload.
-    ///
-    /// # Panics
-    ///
-    /// As [`NodeCtx::recv`] on a stalled stream; also if `chunk == 0`.
-    pub fn recv_framed_into(&mut self, src: usize, tag: Tag, chunk: usize, out: &mut Vec<u8>) {
-        assert!(chunk > 0, "exchange chunk must be at least 1 byte");
-        let category = self.wait_category(tag.kind);
-        let mut frame = 0u32;
-        loop {
-            let (frag, arrival) = self.recv_frame(src, tag.with_frame(frame));
-            self.wait_until(arrival, category);
-            out.extend_from_slice(&frag);
-            if frag.len() < chunk {
-                return;
-            }
-            frame += 1;
-        }
-    }
-
-    /// Blocks for exactly one frame of (src, tag) without advancing the
-    /// clock; the uncharged building block of the framed receives.
-    fn recv_frame(&mut self, src: usize, tag: Tag) -> (Vec<u8>, f64) {
-        if let Some(got) = self.try_take_frame(src, tag) {
-            return got;
-        }
-        let deadline = Instant::now() + self.recv_timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if !self.drain_one(remaining) {
-                self.recv_timeout_panic(src, tag);
-            }
-            if let Some(got) = self.try_take_frame(src, tag) {
-                return got;
-            }
         }
     }
 
@@ -1590,6 +1543,76 @@ mod tests {
             r.traces.bytes(symple_trace::ByteCategory::Dependency),
             r.stats.bytes(CommKind::Dependency)
         );
+    }
+
+    #[test]
+    fn one_frame_stream_is_the_bulk_message() {
+        // A payload framed at `chunk >= len` is the bulk message: same
+        // CommStats, same modelled arrival, same final receiver clock, on
+        // either backend. At `chunk == len` a trailing empty frame
+        // terminates the stream and must not delay it.
+        let cost = CostModel {
+            per_edge_sec: 2.0,
+            per_vertex_sec: 0.0,
+            msg_latency_sec: 1.0,
+            per_byte_sec: 0.5,
+            msg_overhead_sec: 0.25,
+        };
+        let tag = user_tag(3);
+        // Rank 0 ships `len` bytes whole (`None`) or framed at `Some(chunk)`;
+        // rank 1 drains them the way the engine's gather loops do and
+        // returns (payload, frame arrivals, final clock).
+        let run = |backend, len: usize, chunk: Option<usize>| {
+            let net = cluster(2, cost).backend(backend).build().unwrap();
+            net.run(move |ctx| {
+                if ctx.rank() == 0 {
+                    ctx.compute(3, 0);
+                    let payload = vec![7; len];
+                    match chunk {
+                        None => ctx.send(1, tag, CommKind::Update, payload),
+                        Some(c) => ctx.send_framed(1, tag, CommKind::Update, &payload, c),
+                    }
+                    return (Vec::new(), Vec::new(), ctx.virtual_clock());
+                }
+                let Some(chunk) = chunk else {
+                    let got = ctx.recv(0, tag);
+                    return (got, vec![ctx.virtual_clock()], ctx.virtual_clock());
+                };
+                let (mut got, mut arrivals) = (Vec::new(), Vec::new());
+                loop {
+                    let frame = tag.with_frame(arrivals.len() as u32);
+                    let Some((frag, arrival)) = ctx.try_take_frame(0, frame) else {
+                        assert!(ctx.drain_one(Duration::from_secs(5)), "frame lost");
+                        continue;
+                    };
+                    ctx.wait_until(arrival, SpanCategory::Send);
+                    got.extend_from_slice(&frag);
+                    arrivals.push(arrival);
+                    if frag.len() < chunk {
+                        return (got, arrivals, ctx.virtual_clock());
+                    }
+                }
+            })
+        };
+        for backend in [Backend::Sim, Backend::Thread] {
+            for len in [0usize, 1, 100] {
+                let bulk = run(backend, len, None);
+                for chunk in [len, len + 1, usize::MAX].into_iter().filter(|&c| c > 0) {
+                    let framed = run(backend, len, Some(chunk));
+                    let label = format!("{backend:?} len {len} chunk {chunk}");
+                    assert_eq!(framed.per_node_stats, bulk.per_node_stats, "{label}");
+                    assert_eq!(framed.outputs[0], bulk.outputs[0], "{label}: sender");
+                    let (got, arrivals, clock) = &framed.outputs[1];
+                    let (bulk_got, bulk_arrival, bulk_clock) = &bulk.outputs[1];
+                    assert_eq!(got, bulk_got, "{label}: payload");
+                    assert_eq!(clock, bulk_clock, "{label}: receiver clock");
+                    assert_eq!(arrivals[0], bulk_arrival[0], "{label}: arrival");
+                    let frames = if chunk == len { 2 } else { 1 };
+                    assert_eq!(arrivals.len(), frames, "{label}: frame count");
+                    assert!(arrivals[1..].iter().all(|&a| a <= arrivals[0]), "{label}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -76,7 +76,9 @@ pub enum SpanCategory {
     Compute,
     /// Fixed per-message sender-side overhead (packing / syscall).
     Serialize,
-    /// Waiting for an update-carrying message to arrive.
+    /// Waiting in a blocking point-to-point receive for an update or
+    /// user message to arrive (engine update streams charge
+    /// [`SpanCategory::Exchange`] instead).
     Send,
     /// Waiting for a dependency message to arrive (the loop-carried
     /// dependency chain of the circulant schedule).
@@ -95,13 +97,15 @@ pub enum SpanCategory {
     /// of the decoded records, so it is distinguishable from the
     /// signal-side [`SpanCategory::Compute`] edge work.
     Apply,
-    /// Waiting for the next frame of a pipelined exchange stream. Under
-    /// `Exchange::Pipelined` the apply phase consumes update payloads one
-    /// fixed-size frame at a time, interleaving the per-frame decode with
-    /// the arrival waits; the residual stall (arrival ahead of the clock)
-    /// is charged here instead of [`SpanCategory::Send`], so the overlap
-    /// won by the pipeline is directly visible as `Send + Exchange`
-    /// shrinking relative to the bulk configuration.
+    /// Waiting for the next frame of an engine update stream. The apply
+    /// phase consumes update payloads one `exchange_chunk`-byte frame at
+    /// a time, interleaving the per-frame apply charge with the arrival
+    /// waits; the residual stall (arrival ahead of the clock) is charged
+    /// here at every chunk size, the one-frame `usize::MAX` included, so
+    /// the overlap won by framing is directly visible as this category
+    /// shrinking relative to the one-frame configuration. Engine runs
+    /// never charge update waits to [`SpanCategory::Send`], which is left
+    /// to blocking point-to-point receives.
     Exchange,
 }
 

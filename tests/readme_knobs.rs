@@ -32,7 +32,6 @@ fn config_fields() -> Vec<&'static str> {
         retry,
         backend,
         udf_exec,
-        exchange,
         exchange_chunk,
         dep_width,
         early_exit,

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use symplegraph::algos::{bfs, kcore, sampling};
-use symplegraph::core::{EngineConfig, Exchange, FaultPlan, Policy, SpanCategory, WireCodec};
+use symplegraph::core::{EngineConfig, FaultPlan, Policy, SpanCategory, WireCodec};
 use symplegraph::graph::{Graph, GraphBuilder, RmatConfig, Vid};
 
 /// The policies whose pull paths differ (baseline walk, plain circulant,
@@ -142,26 +142,23 @@ fn adaptive_comm_is_thread_invariant_and_never_larger() {
 
 #[test]
 fn exchange_mode_invisible_at_any_thread_count() {
-    // Bulk vs pipelined exchange, with a chunk small enough that the test
-    // graph's messages really frame: bit-identical outputs, work, and comm
+    // Bulk (one frame per payload, `exchange_chunk(usize::MAX)`) vs
+    // pipelined exchange, with a chunk small enough that the test graph's
+    // messages really frame: bit-identical outputs, work, and comm
     // (including the wire-format histogram) at every thread count — the
     // pipeline only moves waits and host wall time.
     let g = RmatConfig::graph500(9, 8).cleaned(true).generate();
     for policy in policies() {
         for threads in [1, 4] {
-            let mk = |exchange: Exchange| {
-                cfg(4, policy, threads)
-                    .exchange(exchange)
-                    .exchange_chunk(64)
-            };
-            let (bulk_out, bulk_st) = bfs(&g, &mk(Exchange::Bulk), Vid::new(7));
-            let (pipe_out, pipe_st) = bfs(&g, &mk(Exchange::Pipelined), Vid::new(7));
+            let mk = |chunk: usize| cfg(4, policy, threads).exchange_chunk(chunk);
+            let (bulk_out, bulk_st) = bfs(&g, &mk(usize::MAX), Vid::new(7));
+            let (pipe_out, pipe_st) = bfs(&g, &mk(64), Vid::new(7));
             assert_eq!(pipe_out, bulk_out, "{policy:?} t{threads}: output");
             assert_eq!(pipe_st.work, bulk_st.work, "{policy:?} t{threads}: work");
             assert_eq!(pipe_st.comm, bulk_st.comm, "{policy:?} t{threads}: comm");
 
-            let (bulk_out, bulk_st) = kcore(&g, &mk(Exchange::Bulk), 3);
-            let (pipe_out, pipe_st) = kcore(&g, &mk(Exchange::Pipelined), 3);
+            let (bulk_out, bulk_st) = kcore(&g, &mk(usize::MAX), 3);
+            let (pipe_out, pipe_st) = kcore(&g, &mk(64), 3);
             assert_eq!(pipe_out, bulk_out, "{policy:?} t{threads}: kcore output");
             assert_eq!(
                 pipe_st.work, bulk_st.work,
@@ -177,24 +174,25 @@ fn exchange_mode_invisible_at_any_thread_count() {
 
 #[test]
 fn exchange_modes_absorb_chaos_plans_identically() {
-    // Replay of a seeded chaos plan through the PR 4 reliable layer, per
-    // exchange mode: outputs and work stay bit-identical to the fault-free
-    // run of the same mode, logical traffic matches across modes, and each
-    // mode is individually reproducible. (The reliable overlay counters may
-    // differ between modes — frames draw their own per-stream fates.)
+    // Replay of a seeded chaos plan through the reliable layer, one-frame
+    // (bulk, `exchange_chunk(usize::MAX)`) and framed (pipelined, 64-byte
+    // chunks): outputs and work stay bit-identical to the fault-free run,
+    // logical traffic matches across modes, and each mode is individually
+    // reproducible. (The reliable overlay counters may differ between
+    // modes — frames draw their own per-stream fates.)
     let g = RmatConfig::graph500(9, 8).cleaned(true).generate();
     for policy in [Policy::Gemini, Policy::symple()] {
-        let mk = |exchange: Exchange, faults: bool| {
-            let c = cfg(4, policy, 2).exchange(exchange).exchange_chunk(64);
+        let mk = |chunk: usize, faults: bool| {
+            let c = cfg(4, policy, 2).exchange_chunk(chunk);
             if faults {
                 c.fault_plan(FaultPlan::chaos(42))
             } else {
                 c
             }
         };
-        let (bulk_out, bulk_st) = bfs(&g, &mk(Exchange::Bulk, true), Vid::new(7));
-        let (pipe_out, pipe_st) = bfs(&g, &mk(Exchange::Pipelined, true), Vid::new(7));
-        let (clean_out, clean_st) = bfs(&g, &mk(Exchange::Pipelined, false), Vid::new(7));
+        let (bulk_out, bulk_st) = bfs(&g, &mk(usize::MAX, true), Vid::new(7));
+        let (pipe_out, pipe_st) = bfs(&g, &mk(64, true), Vid::new(7));
+        let (clean_out, clean_st) = bfs(&g, &mk(64, false), Vid::new(7));
         assert_eq!(pipe_out, clean_out, "{policy:?}: chaos changed outputs");
         assert_eq!(pipe_out, bulk_out, "{policy:?}: modes diverged under chaos");
         assert_eq!(
@@ -217,7 +215,7 @@ fn exchange_modes_absorb_chaos_plans_identically() {
             "{policy:?}: the chaos plan injected nothing"
         );
         // Reproducibility of the faulted pipelined run, overlay included.
-        let (again_out, again_st) = bfs(&g, &mk(Exchange::Pipelined, true), Vid::new(7));
+        let (again_out, again_st) = bfs(&g, &mk(64, true), Vid::new(7));
         assert_eq!(again_out, pipe_out, "{policy:?}: faulted replay output");
         assert_eq!(
             again_st.comm, pipe_st.comm,

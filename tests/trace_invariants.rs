@@ -7,7 +7,7 @@
 //! deterministic across repeated seeded runs.
 
 use symplegraph::algos::{bfs, kcore, mis};
-use symplegraph::core::{EngineConfig, Exchange, Policy, RunStats, TraceLevel};
+use symplegraph::core::{EngineConfig, Policy, RunStats, TraceLevel};
 use symplegraph::graph::{Graph, RmatConfig, Vid};
 use symplegraph::net::{ByteCategory, CommKind, CostModel, SpanCategory, COMM_KINDS};
 
@@ -134,11 +134,12 @@ fn traces_are_identical_across_repeated_runs() {
 
 #[test]
 fn chrome_export_has_one_track_per_machine_with_expected_spans() {
-    // Update-arrival stalls are categorized by the exchange mode: "send"
-    // under the bulk exchange, "exchange" under the pipelined default.
-    for (exchange, wait_span) in [(Exchange::Bulk, "send"), (Exchange::Pipelined, "exchange")] {
+    // Engine runs charge update-arrival stalls to "exchange" at any
+    // frame size — the one-frame (bulk) `usize::MAX`, the default, and a
+    // small chunk — and never to "send".
+    for chunk in [usize::MAX, 16 * 1024, 64] {
         let g = graph();
-        let config = cfg(4, Policy::symple()).exchange(exchange);
+        let config = cfg(4, Policy::symple()).exchange_chunk(chunk);
         let (_, stats) = bfs(&g, &config, Vid::new(1));
         let json = stats.trace.to_chrome_json();
         for machine in 0..4 {
@@ -147,12 +148,17 @@ fn chrome_export_has_one_track_per_machine_with_expected_spans() {
                 "missing track for machine {machine}"
             );
         }
-        for name in ["compute", "dep-wait", wait_span] {
+        for name in ["compute", "dep-wait", "exchange"] {
             assert!(
                 json.contains(&format!("\"name\":\"{name}\"")),
-                "no {name} spans under {exchange}"
+                "no {name} spans at exchange_chunk {chunk}"
             );
         }
+        assert_eq!(
+            stats.time.category(SpanCategory::Send),
+            0.0,
+            "update waits charged to send at exchange_chunk {chunk}"
+        );
         // Scope labels ride along as event args.
         assert!(json.contains("\"iteration\""));
     }
