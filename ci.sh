@@ -110,9 +110,11 @@ step "exchange framing equivalence smoke (one-frame vs framed)"
 cargo run --offline -p symple-bench --bin experiments -- --pipeline-smoke
 
 step "executor equivalence smoke (interp vs bytecode, full engine)"
-# One kernel through the engine under both executors; outputs, work,
-# comm counters, and modelled time must match bit for bit. Runs under
-# --quick so every push enforces the compile-don't-interpret contract.
+# Every lint-corpus kernel through the engine under both executors; each
+# must compile to bytecode (no silent interpreter fallback), and outputs,
+# work, comm counters, and modelled time must match bit for bit. Runs
+# under --quick so every push enforces the compile-don't-interpret
+# contract.
 cargo run --offline -p symple-bench --bin experiments -- --exec-smoke
 
 step "symple-lint (paper UDFs + scenario-matrix UDFs)"

@@ -2091,57 +2091,96 @@ pub fn exec_report(study: &[DispatchPoint]) -> Report {
     Report::new("exec", "Executor study (extension)", text)
 }
 
-/// The `--exec-smoke` gate: one kernel (k-core 4) through the full
+/// The `--exec-smoke` gate: every kernel of the lint corpus (the five
+/// paper UDFs plus the SSSP/CC/PageRank matrix kernels) through the full
 /// engine — 4 machines, SympleGraph policy, 2 executor threads — under
-/// both executors. Outputs, work and communication counters, and
-/// modelled time must match bit for bit.
+/// both executors. Each kernel must run on the bytecode VM when asked
+/// (no silent fallback to the interpreter), and outputs, work and
+/// communication counters, and modelled time must match bit for bit.
 pub fn exec_smoke() -> String {
     use symple_core::UdfExec;
-    use symple_graph::RmatConfig;
-    use symple_udf::{effective_policy, instrument, paper_udfs, UdfProgram};
+    use symple_graph::{Bitmap, RmatConfig};
+    use symple_udf::{effective_policy, instrument, paper_udfs, PropArray, UdfProgram};
 
     let graph = RmatConfig::graph500(8, 8).cleaned(true).generate();
     let n = graph.num_vertices();
-    let props = study_props(n, 5);
-    let inst = instrument(&paper_udfs::kcore_udf(4)).expect("instrument kcore");
-    let policy = effective_policy(&inst.info, Policy::symple());
-    let run = |exec: UdfExec| {
-        let cfg = EngineConfig::new(4, policy).threads(2).udf_exec(exec);
-        let res = symple_core::run_spmd(&graph, &cfg, |w| {
-            let prog = UdfProgram::new(&inst, &props).exec(cfg.udf_exec);
-            assert_eq!(
-                prog.uses_bytecode(),
-                exec == UdfExec::Bytecode,
-                "exec smoke: requested executor not in effect"
-            );
-            let mut dep = prog.make_dep(w.dep_slots_needed());
-            let mut acc: Vec<(u64, u64)> = vec![(0, 0); n];
-            let mut apply = |v: Vid, bits: u64| -> bool {
-                let e = &mut acc[v.index()];
-                e.0 += 1;
-                e.1 = e.1.wrapping_add(bits);
-                false
-            };
-            w.pull(&prog, &mut dep, &mut apply);
-            acc
-        });
-        (res.outputs, res.stats)
-    };
-    let (out_i, st_i) = run(UdfExec::Interp);
-    let (out_b, st_b) = run(UdfExec::Bytecode);
-    assert_eq!(out_i, out_b, "exec smoke: outputs differ across executors");
-    assert_eq!(st_i.work, st_b.work, "exec smoke: work differs");
-    assert_eq!(st_i.comm, st_b.comm, "exec smoke: comm differs");
-    assert_eq!(
-        st_i.virtual_time().to_bits(),
-        st_b.virtual_time().to_bits(),
-        "exec smoke: modelled time differs"
-    );
+    let mut props = study_props(n, 5);
+    // The matrix kernels' properties, in the shapes the executor
+    // equivalence tests use.
+    let (mut reached, mut changed) = (Bitmap::new(n), Bitmap::new(n));
+    for i in 0..n {
+        if i % 2 == 0 {
+            reached.set(i);
+        }
+        if i % 3 != 1 {
+            changed.set(i);
+        }
+    }
+    let ints = |f: fn(usize) -> i64| PropArray::Ints((0..n).map(f).collect());
+    props
+        .insert("reached", PropArray::Bools(reached))
+        .insert("changed", PropArray::Bools(changed))
+        .insert("dist", ints(|i| (i * 11 % 23) as i64))
+        .insert("w", ints(|i| 1 + (i % 8) as i64))
+        .insert("label", ints(|i| (i * 5 % 19) as i64))
+        .insert("contrib", ints(|i| (i % 11) as i64));
+    let kernels = [
+        ("bfs", paper_udfs::bfs_udf()),
+        ("mis", paper_udfs::mis_udf()),
+        ("kcore", paper_udfs::kcore_udf(4)),
+        ("kmeans", paper_udfs::kmeans_udf()),
+        ("sampling", paper_udfs::sampling_udf()),
+        ("sssp", paper_udfs::sssp_udf()),
+        ("cc", paper_udfs::cc_udf()),
+        ("pagerank", paper_udfs::pagerank_udf()),
+    ];
+    let mut rows = Vec::new();
+    for (name, udf) in kernels {
+        let inst = instrument(&udf).expect("corpus kernels instrument");
+        let policy = effective_policy(&inst.info, Policy::symple());
+        let run = |exec: UdfExec| {
+            let cfg = EngineConfig::new(4, policy).threads(2).udf_exec(exec);
+            let res = symple_core::run_spmd(&graph, &cfg, |w| {
+                let prog = UdfProgram::new(&inst, &props).exec(cfg.udf_exec);
+                assert_eq!(
+                    prog.uses_bytecode(),
+                    exec == UdfExec::Bytecode,
+                    "exec smoke: {name}: requested executor not in effect"
+                );
+                let mut dep = prog.make_dep(w.dep_slots_needed());
+                let mut acc: Vec<(u64, u64)> = vec![(0, 0); n];
+                let mut apply = |v: Vid, bits: u64| -> bool {
+                    let e = &mut acc[v.index()];
+                    e.0 += 1;
+                    e.1 = e.1.wrapping_add(bits);
+                    false
+                };
+                w.pull(&prog, &mut dep, &mut apply);
+                acc
+            });
+            (res.outputs, res.stats)
+        };
+        let (out_i, st_i) = run(UdfExec::Interp);
+        let (out_b, st_b) = run(UdfExec::Bytecode);
+        assert_eq!(
+            out_i, out_b,
+            "exec smoke: {name}: outputs differ across executors"
+        );
+        assert_eq!(st_i.work, st_b.work, "exec smoke: {name}: work differs");
+        assert_eq!(st_i.comm, st_b.comm, "exec smoke: {name}: comm differs");
+        assert_eq!(
+            st_i.virtual_time().to_bits(),
+            st_b.virtual_time().to_bits(),
+            "exec smoke: {name}: modelled time differs"
+        );
+        rows.push(format!("{name} {:.3e}s", st_b.virtual_time()));
+    }
     format!(
-        "exec smoke: kcore on graph500(8,8), 4 machines, {policy:?}: outputs, \
-         work, comm, and virtual time ({:.3e}s) bit-identical across \
-         Interp/Bytecode",
-        st_b.virtual_time()
+        "exec smoke: {} kernels on graph500(8,8), 4 machines, SympleGraph \
+         policy, all on the bytecode VM: outputs, work, comm, and virtual \
+         time bit-identical across Interp/Bytecode ({})",
+        rows.len(),
+        rows.join(", ")
     )
 }
 

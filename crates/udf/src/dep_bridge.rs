@@ -262,12 +262,6 @@ impl DepState for UdfDep {
         }
     }
 
-    fn wire_bytes(_len: usize) -> usize {
-        // arity is per-instance; this associated fn cannot know it. Use
-        // `wire_bytes_for` instead.
-        unimplemented!("use UdfDep::wire_bytes_for(len, arity)")
-    }
-
     fn encode_range_coded(&self, range: Range<usize>, out: &mut Vec<u8>) -> WireFormat {
         let n = range.len();
         let a = self.arity();

@@ -27,10 +27,11 @@
 use crate::analysis::DepInfo;
 use crate::ast::{BinOp, Expr, Stmt, UnOp};
 use crate::dep_bridge::UdfDep;
-use crate::props::PropertyStore;
+use crate::props::{PropArray, PropertyStore};
 use crate::transform::InstrumentedUdf;
 use crate::types::Value;
 use crate::vm::BoundVm;
+use crate::UdfError;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use symple_core::{DepState, DepWidth, PullProgram, SignalOutcome, UdfExec};
@@ -41,7 +42,9 @@ use symple_graph::Vid;
 pub struct UdfProgram<'a> {
     inst: &'a InstrumentedUdf,
     props: &'a PropertyStore,
-    active: Option<(String, bool)>,
+    /// The dense-activity predicate: the `active_when` array, resolved
+    /// once, and the value that marks a vertex active.
+    active: Option<(&'a PropArray, bool)>,
     engine: Engine<'a>,
     dep_width: DepWidth,
 }
@@ -99,9 +102,20 @@ impl<'a> UdfProgram<'a> {
     }
 
     /// Restricts dense activity to vertices where boolean property
-    /// `prop` equals `value` (Gemini's dense frontier predicate).
+    /// `prop` equals `value` (Gemini's dense frontier predicate). The
+    /// array is looked up here, once, not per vertex.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store has no property `prop`.
     pub fn active_when(mut self, prop: &str, value: bool) -> Self {
-        self.active = Some((prop.to_string(), value));
+        let array = self.props.get(prop).unwrap_or_else(|| {
+            panic!(
+                "active predicate failed: {}",
+                UdfError::UnknownProperty(prop.to_string())
+            )
+        });
+        self.active = Some((array, value));
         self
     }
 
@@ -372,15 +386,9 @@ impl PullProgram for UdfProgram<'_> {
     type Dep = UdfDep;
 
     fn dense_active(&self, v: Vid) -> bool {
-        match &self.active {
+        match self.active {
             None => true,
-            Some((prop, want)) => {
-                self.props
-                    .read(prop, v)
-                    .unwrap_or_else(|e| panic!("active predicate failed: {e}"))
-                    .as_bool()
-                    == *want
-            }
+            Some((array, want)) => array.get(v).as_bool() == want,
         }
     }
 
@@ -453,7 +461,6 @@ impl UdfProgram<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::props::PropArray;
     use crate::{instrument, paper_udfs};
     use symple_graph::Bitmap;
 
@@ -506,6 +513,13 @@ mod tests {
         let prog = UdfProgram::new(&inst, &props).active_when("visited", false);
         assert!(!prog.dense_active(Vid::new(5)), "visited vertex inactive");
         assert!(prog.dense_active(Vid::new(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "active predicate failed")]
+    fn active_when_rejects_a_missing_property() {
+        let (inst, props) = bfs_setup(&[5], 10);
+        let _ = UdfProgram::new(&inst, &props).active_when("seen", false);
     }
 
     #[test]

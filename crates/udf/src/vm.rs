@@ -11,6 +11,13 @@
 //! reference: on checked programs the two produce bit-identical emissions,
 //! edge counts, break flags, and dependency payloads.
 //!
+//! Each fused op of [`crate::bytecode`] computes through the same
+//! `binary`/`PropArray::get` as the op sequence it replaces and saves
+//! only dispatches. `LoadPropU` and `JumpIfPropUFalse` read the
+//! loop-bound `u` directly and panic with the interpreter's message if it
+//! is unbound; the compare-and-branch ops evaluate `binary(op, lhs, rhs)`
+//! and jump when it is false.
+//!
 //! The interpreter's per-call maps become two 64-bit masks:
 //!
 //! * `pending` — set for every carried local by [`Op::Guard`] after
@@ -109,13 +116,16 @@ impl<'a> BoundVm<'a> {
                     regs[dst as usize] = self.props[prop as usize].get(at);
                     pc += 1;
                 }
+                Op::LoadPropU { dst, prop } => {
+                    regs[dst as usize] = self.props[prop as usize].get(bound(u));
+                    pc += 1;
+                }
                 Op::LoadV { dst } => {
                     regs[dst as usize] = Value::Vertex(v);
                     pc += 1;
                 }
                 Op::LoadU { dst } => {
-                    regs[dst as usize] =
-                        Value::Vertex(u.expect("`u` outside the neighbour loop (run check first)"));
+                    regs[dst as usize] = Value::Vertex(bound(u));
                     pc += 1;
                 }
                 Op::Unary { op, dst, src } => {
@@ -125,6 +135,41 @@ impl<'a> BoundVm<'a> {
                 Op::Binary { op, dst, lhs, rhs } => {
                     regs[dst as usize] = binary(op, regs[lhs as usize], regs[rhs as usize]);
                     pc += 1;
+                }
+                Op::BinaryImm { op, dst, lhs, imm } => {
+                    regs[dst as usize] = binary(op, regs[lhs as usize], imm);
+                    pc += 1;
+                }
+                Op::JumpIfNotCmp {
+                    op,
+                    lhs,
+                    rhs,
+                    target,
+                } => {
+                    pc = if binary(op, regs[lhs as usize], regs[rhs as usize]).as_bool() {
+                        pc + 1
+                    } else {
+                        target as usize
+                    };
+                }
+                Op::JumpIfNotCmpImm {
+                    op,
+                    lhs,
+                    imm,
+                    target,
+                } => {
+                    pc = if binary(op, regs[lhs as usize], imm).as_bool() {
+                        pc + 1
+                    } else {
+                        target as usize
+                    };
+                }
+                Op::JumpIfPropUFalse { prop, target } => {
+                    pc = if self.props[prop as usize].get(bound(u)).as_bool() {
+                        pc + 1
+                    } else {
+                        target as usize
+                    };
                 }
                 Op::JumpIfFalse { cond, target } => {
                     pc = if regs[cond as usize].as_bool() {
@@ -207,6 +252,12 @@ impl<'a> BoundVm<'a> {
         }
         SignalOutcome { edges, broke }
     }
+}
+
+/// The neighbour bound by the enclosing loop (the checker rules out `u`
+/// outside it; the message matches the interpreter's).
+fn bound(u: Option<Vid>) -> Vid {
+    u.expect("`u` outside the neighbour loop (run check first)")
 }
 
 /// Copies the declared carried locals' registers into the dependency slot.
